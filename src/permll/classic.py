@@ -1,12 +1,13 @@
 """Constructors and a sampler for six classic ranking models.
 
 Every constructor evaluates its printed weight formula over all of S_n and
-normalizes by summation, never by a closed-form constant.
+normalizes by summation, never by a closed-form constant.  Product formulas
+multiply one gathered column of ``perm_array`` per factor, in the order the
+formula lists its factors.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .fit import EmpiricalData
 from .decompose import LambdaDecomposition, distribution_from_lambda
-from .perms import DistributionTable, enumerate_permutations
+from .perms import DistributionTable, lattice_edges, perm_array
 
 _PARAM_TOL = 1e-9
 
@@ -49,15 +50,11 @@ def _luce(theta, n: int) -> DistributionTable:
     theta = _check_stochastic(theta, "luce weights")
     if len(theta) != n:
         raise ValidationError(f"need {n} weights, got {len(theta)}")
-    values = {}
     # lambda(x, C) = theta_x / sum of theta over elements outside C
-    for size in range(n):
-        for comb in itertools.combinations(range(1, n + 1), size):
-            prefix = frozenset(comb)
-            rest = [y for y in range(1, n + 1) if y not in prefix]
-            denom = sum(theta[y - 1] for y in rest)
-            for x in rest:
-                values[(x, prefix)] = theta[x - 1] / denom
+    values = {
+        (x, prefix): theta[x - 1] / sum(theta[y - 1] for y in range(1, n + 1) if y not in prefix)
+        for _, x, prefix in lattice_edges(n)
+    }
     return distribution_from_lambda(LambdaDecomposition(n, values, None))
 
 
@@ -69,14 +66,11 @@ def _babington_smith(theta, n: int) -> DistributionTable:
         for y in range(x + 1, n):
             if not (0.0 < arr[x, y] < 1.0) or abs(arr[x, y] + arr[y, x] - 1.0) > _PARAM_TOL:
                 raise ValidationError("pair probabilities must lie in (0,1) and sum to 1")
-    perms = enumerate_permutations(n)
-    raw = np.empty(len(perms))
-    for i, pi in enumerate(perms):
-        w = 1.0
-        for a in range(n):
-            for b in range(a + 1, n):
-                w *= arr[pi[a] - 1, pi[b] - 1]
-        raw[i] = w
+    images = perm_array(n) - 1
+    raw = np.ones(len(images))
+    for a in range(n):
+        for b in range(a + 1, n):
+            raw *= arr[images[:, a], images[:, b]]
     return DistributionTable(n, raw / raw.sum())
 
 
@@ -84,13 +78,12 @@ def _mbt(alpha, n: int) -> DistributionTable:
     arr = np.asarray(alpha, dtype=float)
     if arr.shape != (n,) or (arr <= 0).any():
         raise ValidationError(f"need {n} positive weights")
-    perms = enumerate_permutations(n)
-    raw = np.empty(len(perms))
-    for i, pi in enumerate(perms):
-        w = 1.0
-        for pos, x in enumerate(pi):
-            w *= arr[x - 1] ** (n - pos - 1)
-        raw[i] = w
+    images = perm_array(n) - 1
+    raw = np.ones(len(images))
+    for pos in range(n):
+        # scalar powers, so each factor is the same float as in the formula
+        powers = np.array([a ** (n - pos - 1) for a in arr])
+        raw *= powers[images[:, pos]]
     return DistributionTable(n, raw / raw.sum())
 
 
@@ -109,28 +102,20 @@ def _stage_table(theta, lengths, what: str) -> list[np.ndarray]:
 def _multistage(theta, n: int) -> DistributionTable:
     # stage k chooses the i-th smallest remaining candidate with probability theta[k][i]
     stages = _stage_table(theta, [n - k + 1 for k in range(1, n + 1)], "multistage")
-    values = {}
-    for size in range(n):
-        for comb in itertools.combinations(range(1, n + 1), size):
-            prefix = frozenset(comb)
-            for x in range(1, n + 1):
-                if x not in prefix:
-                    rank = sum(1 for y in range(1, x + 1) if y not in prefix)
-                    values[(x, prefix)] = float(stages[size][rank - 1])
+    values = {
+        (x, prefix): float(stages[len(prefix)][sum(1 for y in range(1, x) if y not in prefix)])
+        for _, x, prefix in lattice_edges(n)
+    }
     return distribution_from_lambda(LambdaDecomposition(n, values, None))
 
 
 def _repeated_insertion(theta, n: int) -> DistributionTable:
     # candidate x is inserted at slot i among the x current places with probability theta[x][i]
     stages = _stage_table(theta, list(range(1, n + 1)), "repeated-insertion")
-    values = {}
-    for size in range(n):
-        for comb in itertools.combinations(range(1, n + 1), size):
-            prefix = frozenset(comb)
-            for x in range(1, n + 1):
-                if x not in prefix:
-                    slot = sum(1 for y in prefix if y <= x) + 1
-                    values[(x, prefix)] = float(stages[x - 1][slot - 1])
+    values = {
+        (x, prefix): float(stages[x - 1][sum(1 for y in prefix if y < x)])
+        for _, x, prefix in lattice_edges(n)
+    }
     return distribution_from_lambda(LambdaDecomposition(n, values, None))
 
 
@@ -142,13 +127,10 @@ def _quasi_independence(theta, n: int) -> DistributionTable:
         np.abs(arr.sum(axis=1) - 1.0) > _PARAM_TOL
     ).any():
         raise ValidationError("matrix must be doubly stochastic")
-    perms = enumerate_permutations(n)
-    raw = np.empty(len(perms))
-    for i, pi in enumerate(perms):
-        w = 1.0
-        for pos, x in enumerate(pi):
-            w *= arr[pos, x - 1]
-        raw[i] = w
+    images = perm_array(n) - 1
+    raw = np.ones(len(images))
+    for pos in range(n):
+        raw *= arr[pos, images[:, pos]]
     if raw.sum() <= 0.0:
         raise ValidationError("matrix puts zero mass on every permutation")
     return DistributionTable(n, raw / raw.sum())

@@ -20,7 +20,7 @@ from .fit import (
     gof_report,
     search_relabelling,
 )
-from .perms import DistributionTable, check_permutation, enumerate_permutations
+from .perms import DistributionTable, check_permutation, inverse_index, perm_array
 from .subspaces import (
     BasisKind,
     GeneratorFamily,
@@ -72,26 +72,32 @@ def parse_counts(path: str) -> EmpiricalData:
     return EmpiricalData.from_dict(n, merged)
 
 
+def _count_lines(data: EmpiricalData) -> list[str]:
+    """The counts file of the data, line by line, observed permutations in index order."""
+    perms = perm_array(data.n)
+    return [f"n={data.n}"] + [
+        f"{' '.join(map(str, perms[i]))},{data.counts[i]}" for i in np.flatnonzero(data.counts)
+    ]
+
+
 def write_counts(data: EmpiricalData, path: str) -> None:
-    perms = enumerate_permutations(data.n)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n={data.n}\n")
-        for pi, count in zip(perms, data.counts):
-            if count > 0:
-                fh.write(f"{' '.join(map(str, pi))},{count}\n")
+        fh.writelines(line + "\n" for line in _count_lines(data))
+
+
+def _read_data(args) -> EmpiricalData:
+    """Counts from --data; with --as-inverse, each observation is inverted exactly."""
+    data = parse_counts(args.data)
+    if args.as_inverse:
+        data = EmpiricalData(data.n, data.counts[inverse_index(data.n)])
+    return data
 
 
 def _load_table(args) -> tuple[DistributionTable, EmpiricalData | None]:
     """Table to analyse: empirical (from --data) or exact (from --spec)."""
     if getattr(args, "data", None):
-        data = parse_counts(args.data)
-        table = empirical(data)
-        if getattr(args, "as_inverse", False):
-            table = inverse_distribution(table)
-            data = EmpiricalData(
-                data.n, np.rint(table.probs * data.m).astype(np.int64)
-            )
-        return table, data
+        data = _read_data(args)
+        return empirical(data), data
     if getattr(args, "spec", None):
         spec, n = spec_from_json(args.spec)
         table = classic_distribution(spec, n)
@@ -161,20 +167,14 @@ def _finish_fit(args, report) -> int:
 
 
 def _cmd_fit(args) -> int:
-    data = parse_counts(args.data)
-    if args.as_inverse:
-        table = inverse_distribution(empirical(data))
-        data = EmpiricalData(data.n, np.rint(table.probs * data.m).astype(np.int64))
+    data = _read_data(args)
     family = GeneratorFamily(parse_family_kind(args.family), data.n)
     opts = FitOptions(max_cycles=args.max_cycles, marginal_tol=args.tol)
     return _finish_fit(args, fit_family(family, data, opts))
 
 
 def _cmd_gof(args) -> int:
-    data = parse_counts(args.data)
-    if args.as_inverse:
-        table = inverse_distribution(empirical(data))
-        data = EmpiricalData(data.n, np.rint(table.probs * data.m).astype(np.int64))
+    data = _read_data(args)
     spec, n = spec_from_json(args.spec)
     fitted = classic_distribution(spec, n)
     family = GeneratorFamily(parse_family_kind(args.family), data.n)
@@ -189,19 +189,12 @@ def _cmd_sample(args) -> int:
         write_counts(data, args.out)
         print(f"wrote {data.m} observations to {args.out}")
     else:
-        perms = enumerate_permutations(data.n)
-        print(f"n={data.n}")
-        for pi, count in zip(perms, data.counts):
-            if count > 0:
-                print(f"{' '.join(map(str, pi))},{count}")
+        print("\n".join(_count_lines(data)))
     return 0
 
 
 def _cmd_search_labels(args) -> int:
-    data = parse_counts(args.data)
-    if args.as_inverse:
-        table = inverse_distribution(empirical(data))
-        data = EmpiricalData(data.n, np.rint(table.probs * data.m).astype(np.int64))
+    data = _read_data(args)
     family = GeneratorFamily(parse_family_kind(args.family), data.n)
     _, _, report = search_relabelling(data, family, SearchSide(args.side))
     return _finish_fit(args, report)

@@ -9,7 +9,7 @@ bug, not a modeling question.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -20,9 +20,10 @@ from .perms import (
     ConsecutiveSections,
     DistributionTable,
     SetPartition,
+    edge_keys,
     enumerate_permutations,
-    inverse,
-    perm_index,
+    inverse_index,
+    lattice_edges,
 )
 from .subspaces import DECOMPOSABLE_KINDS, FamilyKind
 
@@ -48,37 +49,33 @@ class LambdaDecomposition:
 def canonical_lambda(p: DistributionTable) -> LambdaDecomposition:
     """Conditional chain weights: P(next = x | first |C| elements form the set C)."""
     n = p.n
-    joint: dict[tuple[int, frozenset[int]], float] = defaultdict(float)
-    for pi, w in zip(enumerate_permutations(n), p.probs):
-        prefix = frozenset()
-        for x in pi:
-            joint[(x, prefix)] += w
-            prefix = prefix | {x}
-    values = {}
-    for size in range(n):
-        for comb in itertools.combinations(range(1, n + 1), size):
-            prefix = frozenset(comb)
-            mass = sum(joint.get((x, prefix), 0.0) for x in range(1, n + 1) if x not in prefix)
-            for x in range(1, n + 1):
-                if x not in prefix:
-                    values[(x, prefix)] = joint.get((x, prefix), 0.0) / mass if mass > 0.0 else 0.0
-    return LambdaDecomposition(n, values, 1.0)
+    joint = np.bincount(
+        edge_keys(n).ravel(), weights=np.repeat(p.probs, n), minlength=n << n
+    ).reshape(1 << n, n)
+    mass = joint[:, 0].copy()
+    for x in range(1, n):  # summed in the order x = 1..n, not pairwise
+        mass += joint[:, x]
+    lam = np.divide(joint, mass[:, None], out=np.zeros_like(joint), where=mass[:, None] > 0)
+    lam = lam.ravel()
+    return LambdaDecomposition(n, {(x, s): float(lam[e]) for e, x, s in lattice_edges(n)}, 1.0)
+
+
+def _edge_array(lam: LambdaDecomposition) -> np.ndarray:
+    """The weights of lam on the keys of edge_keys(lam.n), zero where lam has none."""
+    edge = np.zeros(lam.n << lam.n)
+    for e, x, prefix in lattice_edges(lam.n):
+        edge[e] = lam.values.get((x, prefix), 0.0)
+    return edge
 
 
 def distribution_from_lambda(lam: LambdaDecomposition) -> DistributionTable:
     """Chain product p(pi) = c * prod_k lambda(pi(k+1), {pi(1..k)})."""
     n = lam.n
-    perms = enumerate_permutations(n)
-    raw = np.empty(len(perms))
-    for i, pi in enumerate(perms):
-        prefix = frozenset()
-        prod = 1.0
-        for x in pi:
-            prod *= lam.get(x, prefix)
-            if prod == 0.0:
-                break
-            prefix = prefix | {x}
-        raw[i] = prod
+    edge = _edge_array(lam)
+    keys = edge_keys(n)
+    raw = edge[keys[:, 0]]
+    for k in range(1, n):
+        raw *= edge[keys[:, k]]
     total = raw.sum()
     if lam.constant is None:
         if total <= 0.0:
@@ -97,64 +94,46 @@ def markovianize(p: DistributionTable) -> DistributionTable:
 
 def inverse_distribution(p: DistributionTable) -> DistributionTable:
     """The law of the inverse permutation: result(pi) = p(pi^-1)."""
-    out = np.empty_like(p.probs)
-    for i, pi in enumerate(enumerate_permutations(p.n)):
-        out[i] = p.probs[perm_index(inverse(pi))]
-    return DistributionTable._from_valid(p.n, out)
+    return DistributionTable._from_valid(p.n, p.probs[inverse_index(p.n)])
 
 
 def _conditional_violation(p: DistributionTable) -> float:
     """Max gap between next-element laws conditioned on ordered vs unordered prefixes."""
     n = p.n
+    keys = edge_keys(n)
+    index = np.arange(len(p.probs))
     worst = 0.0
-    perms = enumerate_permutations(n)
     for k in range(2, n - 1):
-        joint_ord: dict = defaultdict(float)
-        mass_ord: dict = defaultdict(float)
-        joint_set: dict = defaultdict(float)
-        mass_set: dict = defaultdict(float)
-        for pi, w in zip(perms, p.probs):
-            prefix = pi[:k]
-            pset = frozenset(prefix)
-            joint_ord[(prefix, pi[k])] += w
-            mass_ord[prefix] += w
-            joint_set[(pset, pi[k])] += w
-            mass_set[pset] += w
-        for prefix, denom in mass_ord.items():
-            if denom <= 0.0:
-                continue
-            pset = frozenset(prefix)
-            set_mass = mass_set[pset]
-            for x in range(1, n + 1):
-                if x in pset:
-                    continue
-                gap = abs(
-                    joint_ord.get((prefix, x), 0.0) / denom
-                    - joint_set.get((pset, x), 0.0) / set_mass
-                )
-                worst = max(worst, gap)
+        # Lexicographic order makes the permutations that share their first
+        # k + 1 images one block of (n-k-1)! rows, and the n-k blocks that
+        # share their first k images consecutive.
+        block = math.factorial(n - k - 1)
+        joint_ord = np.bincount(index // block, weights=p.probs)
+        mass_ord = np.bincount(index // (block * (n - k)), weights=p.probs)
+        joint_set = np.bincount(keys[:, k], weights=p.probs, minlength=n << n)
+        mass_set = np.bincount(keys[:, k] // n, weights=p.probs, minlength=1 << n)
+        denom = mass_ord[np.arange(len(joint_ord)) // (n - k)]
+        seen = denom > 0.0
+        edge = keys[::block, k][seen]  # the unordered edge of each ordered prefix
+        gap = np.abs(joint_ord[seen] / denom[seen] - joint_set[edge] / mass_set[edge // n])
+        worst = max(worst, float(gap.max()))
     return worst
 
 
 def _union_spread(p: DistributionTable) -> float:
     """Spread of canonical lambda values over pairs sharing the same union set."""
-    lam = canonical_lambda(p)
     n = p.n
-    reach: dict = defaultdict(float)
-    for pi, w in zip(enumerate_permutations(n), p.probs):
-        prefix = frozenset()
-        for x in pi:
-            reach[prefix] += w
-            prefix = prefix | {x}
-    groups: dict = defaultdict(list)
-    for (x, prefix), v in lam.values.items():
-        if reach.get(prefix, 0.0) > 0.0:
-            groups[frozenset(prefix | {x})].append(v)
-    worst = 0.0
-    for vals in groups.values():
-        if len(vals) > 1:
-            worst = max(worst, max(vals) - min(vals))
-    return worst
+    lam = _edge_array(canonical_lambda(p)).reshape(1 << n, n)
+    masks = np.arange(1 << n)[:, None]
+    bits = 1 << np.arange(n)
+    # a prefix set has positive mass iff its conditional law sums to 1, not 0
+    reached = ((masks & bits) == 0) & (lam.sum(axis=1) > 0.0)[:, None]
+    union = (masks | bits)[reached]
+    hi = np.full(1 << n, -np.inf)
+    lo = np.full(1 << n, np.inf)
+    np.maximum.at(hi, union, lam[reached])
+    np.minimum.at(lo, union, lam[reached])
+    return float((hi - lo).max())  # -inf where no reached edge has this union
 
 
 def _l_check(p: DistributionTable, tol: float) -> tuple[bool, float]:

@@ -19,21 +19,16 @@ from .errors import SizeError, SupportMismatchError, ValidationError
 from .perms import (
     DistributionTable,
     Perm,
-    compose,
     check_permutation,
+    check_size,
+    compose,
     enumerate_permutations,
     identity,
-    inverse,
-    perm_index,
+    perm_array,
+    rank,
+    relabel_index,
 )
-from .subspaces import (
-    FamilyKind,
-    GeneratorFamily,
-    atom_labels,
-    formula_dimension,
-    generators,
-    rank_dimension,
-)
+from .subspaces import FamilyKind, GeneratorFamily, atom_labels, formula_dimension, generators
 
 
 @dataclass
@@ -55,9 +50,12 @@ class EmpiricalData:
 
     @classmethod
     def from_dict(cls, n: int, counts: dict) -> "EmpiricalData":
+        check_size(n)
+        images = [check_permutation(pi) for pi in counts]
+        if any(len(pi) != n for pi in images):
+            raise SizeError(f"counts keys must be permutations of 1..{n}")
         arr = np.zeros(math.factorial(n), dtype=np.int64)
-        for pi, c in counts.items():
-            arr[perm_index(check_permutation(pi))] += int(c)
+        np.add.at(arr, rank(np.reshape(images, (-1, n))), [int(c) for c in counts.values()])
         return cls(n, arr)
 
     @property
@@ -70,18 +68,11 @@ def empirical(data: EmpiricalData) -> DistributionTable:
     return DistributionTable(data.n, data.counts / data.m)
 
 
-class StartKind(Enum):
-    UNIFORM = "uniform"
-    CUSTOM = "custom"
-
-
 @dataclass
 class FitOptions:
     max_cycles: int = 10000
     marginal_tol: float = 1e-9
     likelihood_tol: float = 1e-9
-    start: StartKind = StartKind.UNIFORM
-    start_table: DistributionTable | None = None
 
     def __post_init__(self):
         if self.max_cycles < 1:
@@ -142,13 +133,7 @@ def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | N
     gens = generators(family)
     labels = [atom_labels(board, family.n) for board in gens]
     emp = [np.bincount(lab, weights=r.probs, minlength=k) for lab, k in labels]
-
-    if opts.start is StartKind.CUSTOM:
-        if opts.start_table is None or opts.start_table.n != family.n:
-            raise ValidationError("custom start requires a start_table of matching size")
-        p = opts.start_table.probs.copy()
-    else:
-        p = np.full(len(r.probs), 1.0 / len(r.probs))
+    p = np.full(len(r.probs), 1.0 / len(r.probs))
 
     trace = []
     gap = np.inf
@@ -228,13 +213,6 @@ def alternating_fit(r: DistributionTable, opts: FitOptions | None = None) -> Fit
     )
 
 
-def family_free_parameters(family: GeneratorFamily) -> int:
-    """Free parameters: closed form where available, rank oracle otherwise."""
-    if family.kind is FamilyKind.QUASI_INDEPENDENCE:
-        return rank_dimension(family)
-    return formula_dimension(family)
-
-
 def gof_report(
     fitted: DistributionTable, data: EmpiricalData, family: GeneratorFamily, base: FitReport | None = None
 ) -> FitReport:
@@ -251,7 +229,7 @@ def gof_report(
     expected = m * probs
     cell_mask = probs > 0.0
     gof = float(((counts[cell_mask] - expected[cell_mask]) ** 2 / expected[cell_mask]).sum())
-    df = (math.factorial(data.n) - 1) - family_free_parameters(family)
+    df = (math.factorial(data.n) - 1) - formula_dimension(family)
     low = int((expected[cell_mask] < 5.0).sum())
     if low:
         warnings.warn(
@@ -303,14 +281,13 @@ def right_invariance_group(n: int) -> list[Perm]:
     return sorted(group)
 
 
-def _relabelled_counts(data: EmpiricalData, sigma: Perm, rho: Perm) -> EmpiricalData:
-    # counts_new(tau) = counts(rho^-1 tau sigma)
-    inv_rho = inverse(rho)
-    perms = enumerate_permutations(data.n)
-    out = np.empty_like(data.counts)
-    for t, tau in enumerate(perms):
-        out[t] = data.counts[perm_index(compose(compose(inv_rho, tau), sigma))]
-    return EmpiricalData(data.n, out)
+def _orbit_representatives(n: int) -> list[Perm]:
+    """The first sigma, in lexicographic order, of each orbit {g sigma : g in
+    right_invariance_group(n)}."""
+    images = perm_array(n) - 1
+    first = np.min([rank(np.asarray(g)[images]) for g in right_invariance_group(n)], axis=0)
+    perms = enumerate_permutations(n)
+    return [perms[i] for i in np.flatnonzero(first == np.arange(len(perms)))]
 
 
 def search_relabelling(
@@ -338,14 +315,7 @@ def search_relabelling(
         if side is SearchSide.LEFT:
             sigmas = [ident]
         else:
-            group = right_invariance_group(n)
-            sigmas = []
-            seen = set()
-            for sigma in perms:
-                if sigma in seen:
-                    continue
-                sigmas.append(sigma)
-                seen.update(compose(g, sigma) for g in group)
+            sigmas = _orbit_representatives(n)
     else:
         sigmas = list(perms) if side in (SearchSide.RIGHT, SearchSide.BOTH) else [ident]
         rhos = list(perms) if side in (SearchSide.LEFT, SearchSide.BOTH) else [ident]
@@ -353,7 +323,7 @@ def search_relabelling(
     best = None
     for sigma in sigmas:
         for rho in rhos:
-            relabelled = _relabelled_counts(data, sigma, rho)
+            relabelled = EmpiricalData(n, data.counts[relabel_index(n, sigma, rho)])
             report = fit_family(family, relabelled, opts)
             key = report.log_likelihood
             if best is None or key > best[0] + 1e-12:

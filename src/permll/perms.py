@@ -1,9 +1,12 @@
-"""Permutations, partitions of {1..n}, product partitions, and marginal statistics.
+"""Permutations as arrays, partitions, product partitions, and dense tables over S_n.
 
-Permutations are stored in one-line image form as tuples of 1-based
-integers: ``pi[i-1]`` is the image of ``i``.  The lexicographic position of a
-permutation in ``enumerate_permutations(n)`` is its canonical index, used by
-every dense table in the package.
+S_n is one read-only ``(n!, n)`` array per n, ``perm_array(n)``: row i holds
+the 1-based images of the i-th permutation in lexicographic order, and i is
+the index of that permutation in every dense table; ``rank`` maps image rows
+back to it.  Inverting or relabelling a table is one gather ``table[idx]`` by
+``inverse_index`` or ``relabel_index``, and chain statistics are bincounts
+over ``edge_keys``.  A single permutation is a tuple of 1-based images
+(``Perm``); ``enumerate_permutations`` is the tuple view of ``perm_array``.
 """
 
 from __future__ import annotations
@@ -21,17 +24,14 @@ from .errors import ParseError, SizeError, ValidationError
 Perm = tuple[int, ...]
 
 DEFAULT_MAX_N = 9
-HARD_MAX_N = 11
 
 NORMALIZATION_TOL = 1e-12
 RENORMALIZE_TOL = 1e-9
 
 
-def check_size(n: int, cap: int = DEFAULT_MAX_N) -> None:
-    if cap > HARD_MAX_N:
-        raise SizeError(f"cap {cap} exceeds the hard limit {HARD_MAX_N}")
-    if not 1 <= n <= cap:
-        raise SizeError(f"board size {n} outside 1..{cap}")
+def check_size(n: int) -> None:
+    if not 1 <= n <= DEFAULT_MAX_N:
+        raise SizeError(f"board size {n} outside 1..{DEFAULT_MAX_N}")
 
 
 def check_permutation(image: Sequence[int]) -> Perm:
@@ -47,20 +47,86 @@ def identity(n: int) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def enumerate_permutations(n: int, cap: int = DEFAULT_MAX_N) -> tuple[Perm, ...]:
-    """All permutations of 1..n in lexicographic order (length n!)."""
-    check_size(n, cap)
-    return tuple(itertools.permutations(range(1, n + 1)))
+def perm_array(n: int) -> np.ndarray:
+    """All permutations of 1..n in lexicographic order: a read-only (n!, n) uint8 array."""
+    check_size(n)
+    if n == 1:
+        arr = np.ones((1, 1), dtype=np.uint8)
+    else:
+        # rows starting with f: f, then the rows for n-1 with images >= f moved up
+        prev = perm_array(n - 1)
+        first = np.repeat(np.arange(1, n + 1, dtype=np.uint8), len(prev))[:, None]
+        rest = np.tile(prev, (n, 1))
+        rest += rest >= first
+        arr = np.hstack([first, rest])
+    arr.setflags(write=False)
+    return arr
+
+
+def rank(perms) -> np.ndarray:
+    """Lexicographic index of each row of 1-based images: the Lehmer code
+    (smaller images after position i, weighted by (n-1-i)!)."""
+    perms = np.atleast_2d(np.asarray(perms))
+    n = perms.shape[1]
+    out = np.zeros(len(perms), dtype=np.int64)
+    for i in range(n - 1):
+        out += (perms[:, i + 1 :] < perms[:, i, None]).sum(axis=1) * math.factorial(n - 1 - i)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _index_map(n: int) -> dict[Perm, int]:
-    return {pi: i for i, pi in enumerate(enumerate_permutations(n))}
+def enumerate_permutations(n: int) -> tuple[Perm, ...]:
+    """All permutations of 1..n in lexicographic order (length n!), as tuples."""
+    return tuple(map(tuple, perm_array(n).tolist()))
 
 
 def perm_index(pi: Sequence[int]) -> int:
     """Canonical (lexicographic) index of a permutation."""
-    return _index_map(len(pi))[tuple(pi)]
+    return int(rank(check_permutation(pi))[0])
+
+
+@lru_cache(maxsize=None)
+def inverse_index(n: int) -> np.ndarray:
+    """Read-only idx with table_of_the_inverse = table[idx]."""
+    idx = rank(np.argsort(perm_array(n), axis=1) + 1)
+    idx.setflags(write=False)
+    return idx
+
+
+def relabel_index(n: int, sigma: Sequence[int], rho: Sequence[int]) -> np.ndarray:
+    """idx with relabelled = table[idx], where relabelled(tau) = table(rho^-1 tau sigma)."""
+    sigma = np.asarray(check_permutation(sigma))
+    rho = np.asarray(check_permutation(rho))
+    if len(sigma) != n or len(rho) != n:
+        raise SizeError("relabelling permutations must match the table size")
+    inv_rho = np.argsort(rho) + 1
+    return rank(inv_rho[perm_array(n)[:, sigma - 1] - 1])
+
+
+@lru_cache(maxsize=None)
+def edge_keys(n: int) -> np.ndarray:
+    """Read-only (n!, n) K with K[:, k] = bitmask(pi(1..k)) * n + pi(k+1) - 1.
+
+    K[i, k] is step k of permutation i through the lattice of prefix sets (bit
+    x-1 marks x).  Keys lie in range(n << n) and, as a mask's popcount is its
+    level, keys of different levels never collide.
+    """
+    x = perm_array(n).astype(np.int64) - 1
+    bits = np.left_shift(1, x)
+    keys = (np.cumsum(bits, axis=1) - bits) * n + x
+    keys.setflags(write=False)
+    return keys
+
+
+@lru_cache(maxsize=None)
+def lattice_edges(n: int) -> tuple[tuple[int, int, frozenset[int]], ...]:
+    """(key, x, prefix) for every edge prefix -> prefix + {x} of the prefix-set
+    lattice, keyed as in edge_keys."""
+    edges = []
+    for mask in range(1 << n):
+        prefix = frozenset(y for y in range(1, n + 1) if mask >> (y - 1) & 1)
+        edges += [(mask * n + x - 1, x, prefix) for x in range(1, n + 1) if x not in prefix]
+    return tuple(edges)
 
 
 def inverse(pi: Sequence[int]) -> Perm:
@@ -278,13 +344,4 @@ def relabel_distribution(
     p: DistributionTable, sigma: Sequence[int], rho: Sequence[int]
 ) -> DistributionTable:
     """Push p through the relabelling (sigma, rho): result(tau) = p(rho^-1 tau sigma)."""
-    sigma = check_permutation(sigma)
-    rho = check_permutation(rho)
-    if len(sigma) != p.n or len(rho) != p.n:
-        raise SizeError("relabelling permutations must match the table size")
-    inv_rho = inverse(rho)
-    perms = enumerate_permutations(p.n)
-    out = np.empty_like(p.probs)
-    for t, tau in enumerate(perms):
-        out[t] = p.probs[perm_index(compose(compose(inv_rho, tau), sigma))]
-    return DistributionTable._from_valid(p.n, out)
+    return DistributionTable._from_valid(p.n, p.probs[relabel_index(p.n, sigma, rho)])

@@ -8,8 +8,6 @@ counts are cross-checked against an exact rank oracle over the integers.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,8 +23,7 @@ from .perms import (
     SetPartition,
     check_size,
     enumerate_permutations,
-    inverse,
-    marginal,
+    perm_array,
 )
 
 RANK_MAX_N = 7
@@ -299,19 +296,46 @@ def formula_dimension(family: GeneratorFamily) -> int:
         return sum(i * i for i in range(1, n))
     if kind is FamilyKind.BI_S:
         return sum((n - 2 * j - 1) ** 2 for j in range((n - 1) // 2 + 1))
+    if kind is FamilyKind.QUASI_INDEPENDENCE:
+        return (n - 1) ** 2
     if kind is FamilyKind.SATURATED:
         return math.factorial(n) - 1
     if kind is FamilyKind.UNIFORM:
         return 0
-    raise UnsupportedFamilyError(f"no closed-form dimension for {kind}; use rank_dimension")
+    raise UnsupportedFamilyError(f"no closed-form dimension for {kind}")
 
 
+@lru_cache(maxsize=None)
 def atom_labels(board: ProductPartition, n: int) -> tuple[np.ndarray, int]:
-    """Atom index per permutation under pi -> |pi_B|, with atoms in lexicographic key order."""
-    perms = enumerate_permutations(n)
-    keys = [marginal(pi, board).tobytes() for pi in perms]
-    ordered = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return np.array([ordered[key] for key in keys], dtype=np.int64), len(ordered)
+    """Atom index per permutation under pi -> |pi_B|, with atoms in lexicographic key order.
+
+    The key is the block-count matrix read row-major as a mixed-radix integer
+    (a cell in row atom R_i counts at most |R_i| rooks).  Before a digit could
+    overflow int64, the key becomes its rank among the distinct keys, which
+    keeps their order.  The labels are read-only and cached per board.
+    """
+    if board.n != n:
+        raise SizeError(f"partition for n={board.n} applied to permutations of size {n}")
+    perms = perm_array(n)
+    size = len(perms)
+    ncols = board.cols.size
+    col_of = np.array([board.cols.atom_of(v) for v in range(1, n + 1)])
+    rows = np.arange(size)[:, None] * ncols
+    key = np.zeros(size, dtype=np.int64)
+    span = 1  # key < span
+    for atom in board.rows.atoms:
+        cells = rows + col_of[perms[:, sorted(s - 1 for s in atom)] - 1]
+        counts = np.bincount(cells.ravel(), minlength=size * ncols).reshape(size, ncols)
+        radix = len(atom) + 1
+        for j in range(ncols):
+            if span * radix > 2**62:
+                distinct, key = np.unique(key, return_inverse=True)
+                span = len(distinct)
+            key = key * radix + counts[:, j]
+            span *= radix
+    distinct, labels = np.unique(key, return_inverse=True)
+    labels.setflags(write=False)
+    return labels, len(distinct)
 
 
 def indicator_columns(board: ProductPartition, n: int) -> np.ndarray:
@@ -349,7 +373,7 @@ def subspace_intersection_dim(k: int, ell: int, n: int) -> int:
 class DimensionReport:
     family: FamilyKind
     n: int
-    formula_dim: int | None
+    formula_dim: int
     rank_dim: int | None
     free_parameters: int
 
@@ -364,15 +388,8 @@ class DimensionReport:
 
 
 def dimension_report(family: GeneratorFamily, compute_rank: bool = True) -> DimensionReport:
-    try:
-        formula = formula_dimension(family)
-    except UnsupportedFamilyError:
-        formula = None
+    formula = formula_dimension(family)
     rank = None
     if compute_rank and family.n <= RANK_MAX_N:
         rank = rank_dimension(family)
-    if formula is None and rank is None:
-        raise UnsupportedFamilyError(
-            f"{family.kind.value} has no closed form and n={family.n} exceeds the rank cap"
-        )
     return DimensionReport(family.kind, family.n, formula, rank, rank if rank is not None else formula)

@@ -138,6 +138,19 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is True
 
+    def test_as_inverse_is_exact(self, tmp_path):
+        # inverting on ingest equals reading the inverted permutations, even
+        # for counts beyond the 53-bit float mantissa
+        from argparse import Namespace
+
+        from permll.cli import _read_data
+
+        a, b = tmp_path / "a.counts", tmp_path / "b.counts"
+        a.write_text("n=3\n2 3 1,100000000000000001\n1 3 2,2\n3 1 2,5\n")
+        b.write_text("n=3\n3 1 2,100000000000000001\n1 3 2,2\n2 3 1,5\n")
+        data = _read_data(Namespace(data=str(a), as_inverse=True))
+        assert data.counts.tolist() == parse_counts(str(b)).counts.tolist()
+
 
 class TestExitCodes:
     def test_missing_file_is_one(self, capsys):

@@ -187,6 +187,12 @@ class TestGof:
                     (rep.gof_chi_square - rep.df) / math.sqrt(rep.df)
                 )
 
+    def test_quasi_independence_df_past_the_rank_cap(self):
+        # QI's df comes from its closed form, so it needs no rank oracle at n = 8
+        data = random_counts(8, 9, m=500)
+        family = GeneratorFamily(FamilyKind.QUASI_INDEPENDENCE, 8)
+        assert gof_report(DistributionTable.uniform(8), data, family).df == 40319 - 49
+
     def test_support_mismatch(self):
         data = EmpiricalData.from_dict(3, {(1, 2, 3): 5, (3, 2, 1): 5})
         fitted = DistributionTable.point_mass((1, 2, 3))

@@ -24,7 +24,7 @@ from permll import (
     subspace_intersection_dim,
     thin_cross_section,
 )
-from permll.errors import SizeError, UnsupportedFamilyError, ValidationError
+from permll.errors import SizeError, ValidationError
 from permll.exactrank import exact_rank
 from permll.perms import marginal
 from permll.subspaces import RANK_MAX_N
@@ -127,10 +127,10 @@ class TestDimensions:
                 assert rank_dimension(family) == formula_dimension(family)
 
     def test_quasi_independence_needs_rank(self):
-        with pytest.raises(UnsupportedFamilyError):
-            formula_dimension(GeneratorFamily(FamilyKind.QUASI_INDEPENDENCE, 4))
-        report = dimension_report(GeneratorFamily(FamilyKind.QUASI_INDEPENDENCE, 4))
-        assert report.free_parameters == report.rank_dim
+        # the closed form (n-1)^2 agrees with the rank oracle wherever it runs
+        for n in range(2, RANK_MAX_N + 1):
+            family = GeneratorFamily(FamilyKind.QUASI_INDEPENDENCE, n)
+            assert formula_dimension(family) == rank_dimension(family) == (n - 1) ** 2
 
     def test_rank_cap(self):
         with pytest.raises(SizeError):
