@@ -3,7 +3,8 @@
 Every constructor evaluates its printed weight formula over all of S_n and
 normalizes by summation, never by a closed-form constant.  Product formulas
 multiply one gathered column of ``perm_array`` per factor, in the order the
-formula lists its factors.
+formula lists its factors.  Luce, multistage and repeated insertion give
+their chain weights on the (2^n, n) grid of prefix masks by next elements.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .fit import EmpiricalData
 from .decompose import LambdaDecomposition, distribution_from_lambda
-from .perms import DistributionTable, lattice_edges, perm_array
+from .perms import DistributionTable, perm_array, prefix_members
 
 _PARAM_TOL = 1e-9
 
@@ -46,16 +47,26 @@ def _check_stochastic(vec, what: str) -> np.ndarray:
     return arr
 
 
+def _stage_lambda(stages: list[np.ndarray], row, col) -> LambdaDecomposition:
+    """Unnormalized weights stages[row][col] on the mask-by-element grid."""
+    n = len(stages)
+    table = np.zeros((n + 1, n))
+    for k, stage in enumerate(stages):
+        table[k, : len(stage)] = stage
+    return LambdaDecomposition(n, np.where(prefix_members(n), 0.0, table[row, col]).ravel(), None)
+
+
 def _luce(theta, n: int) -> DistributionTable:
     theta = _check_stochastic(theta, "luce weights")
     if len(theta) != n:
         raise ValidationError(f"need {n} weights, got {len(theta)}")
-    # lambda(x, C) = theta_x / sum of theta over elements outside C
-    values = {
-        (x, prefix): theta[x - 1] / sum(theta[y - 1] for y in range(1, n + 1) if y not in prefix)
-        for _, x, prefix in lattice_edges(n)
-    }
-    return distribution_from_lambda(LambdaDecomposition(n, values, None))
+    # lambda(x, C) = theta_x / sum of theta over elements outside C, summed y = 1..n
+    member = prefix_members(n)
+    outside = np.zeros(1 << n)
+    for y in range(n):
+        outside += np.where(member[:, y], 0.0, theta[y])
+    edges = np.divide(theta, outside[:, None], out=np.zeros((1 << n, n)), where=~member)
+    return distribution_from_lambda(LambdaDecomposition(n, edges.ravel(), None))
 
 
 def _babington_smith(theta, n: int) -> DistributionTable:
@@ -102,21 +113,19 @@ def _stage_table(theta, lengths, what: str) -> list[np.ndarray]:
 def _multistage(theta, n: int) -> DistributionTable:
     # stage k chooses the i-th smallest remaining candidate with probability theta[k][i]
     stages = _stage_table(theta, [n - k + 1 for k in range(1, n + 1)], "multistage")
-    values = {
-        (x, prefix): float(stages[len(prefix)][sum(1 for y in range(1, x) if y not in prefix)])
-        for _, x, prefix in lattice_edges(n)
-    }
-    return distribution_from_lambda(LambdaDecomposition(n, values, None))
+    inside = prefix_members(n)
+    # stage |C| picks x as candidate number #{y < x : y outside C}
+    below = np.cumsum(~inside, axis=1) - ~inside
+    return distribution_from_lambda(_stage_lambda(stages, inside.sum(axis=1)[:, None], below))
 
 
 def _repeated_insertion(theta, n: int) -> DistributionTable:
     # candidate x is inserted at slot i among the x current places with probability theta[x][i]
     stages = _stage_table(theta, list(range(1, n + 1)), "repeated-insertion")
-    values = {
-        (x, prefix): float(stages[x - 1][sum(1 for y in prefix if y < x)])
-        for _, x, prefix in lattice_edges(n)
-    }
-    return distribution_from_lambda(LambdaDecomposition(n, values, None))
+    inside = prefix_members(n)
+    # x goes to slot #{y < x : y in C}
+    below = np.cumsum(inside, axis=1) - inside
+    return distribution_from_lambda(_stage_lambda(stages, np.arange(n), below))
 
 
 def _quasi_independence(theta, n: int) -> DistributionTable:
@@ -151,18 +160,24 @@ def classic_distribution(spec: ClassicSpec, n: int) -> DistributionTable:
     key, builder = _BUILDERS[ClassicKind(spec.kind)]
     if key not in spec.params:
         raise ValidationError(f"{spec.kind.value} needs parameter {key!r}")
-    return builder(spec.params[key], n)
+    try:
+        return builder(spec.params[key], n)
+    except (TypeError, ValueError) as exc:  # not numbers, or not of a numeric shape
+        raise ValidationError(f"bad {spec.kind.value} parameter {key!r}: {exc}") from None
 
 
 def spec_from_json(path) -> tuple[ClassicSpec, int]:
     """Load a {kind, n, params} parameter file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"{path}: not a JSON spec file: {exc}") from None
     try:
         kind = ClassicKind(doc["kind"])
         n = int(doc["n"])
         params = dict(doc["params"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad classic spec file {path}: {exc}") from exc
     return ClassicSpec(kind, params), n
 
@@ -171,9 +186,11 @@ def sample(p: DistributionTable, m: int, seed: int) -> EmpiricalData:
     """m inverse-CDF draws on the lexicographic index, deterministic in seed."""
     if m < 1:
         raise ValidationError("need at least one draw")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(p.probs)
-    idx = np.searchsorted(cdf, rng.random(m), side="right")
-    idx = np.minimum(idx, len(p.probs) - 1)
+    # u * total < total for u < 1, so a cell of probability zero is never drawn
+    idx = np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right")
     counts = np.bincount(idx, minlength=len(p.probs)).astype(np.int64)
     return EmpiricalData(p.n, counts)

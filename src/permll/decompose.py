@@ -1,6 +1,8 @@
 """Decomposability testing, the canonical lambda decomposition, and
 conditional-independence checks.
 
+Chain weights are one array over the prefix-set lattice, keyed as in
+``edge_keys``, and every relation is a bincount over integer keys of S_n.
 Verdicts are computed along two redundant paths — conditional-probability
 equalities and the round trip through the canonical decomposition — and the
 pair is required to agree within numerical slack; a disagreement signals a
@@ -10,8 +12,8 @@ bug, not a modeling question.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -20,10 +22,11 @@ from .perms import (
     ConsecutiveSections,
     DistributionTable,
     SetPartition,
+    check_size,
     edge_keys,
-    enumerate_permutations,
     inverse_index,
-    lattice_edges,
+    perm_array,
+    prefix_members,
 )
 from .subspaces import DECOMPOSABLE_KINDS, FamilyKind
 
@@ -32,18 +35,32 @@ DEFAULT_TOL = 1e-9
 
 @dataclass
 class LambdaDecomposition:
-    """Weights on (next element, prefix set) pairs, plus a global constant.
+    """Weights lambda(x | S) on the edges S -> S + {x} of the prefix-set lattice,
+    plus a global constant.
 
-    ``constant=None`` means "normalize by summation" and is used by model
+    ``edges[mask(S) * n + x - 1]`` is lambda(x | S), keyed as in ``edge_keys``:
+    a read-only float array of length ``n << n`` that is 0 wherever x lies in
+    S.  ``constant=None`` means "normalize by summation" and is used by model
     constructors whose printed weight function is unnormalized.
     """
 
     n: int
-    values: dict[tuple[int, frozenset[int]], float]
+    edges: np.ndarray
     constant: float | None = 1.0
 
-    def get(self, x: int, prefix: frozenset[int]) -> float:
-        return self.values.get((x, frozenset(prefix)), 0.0)
+    def __post_init__(self):
+        check_size(self.n)
+        edges = np.array(self.edges, dtype=np.float64)
+        if edges.shape != (self.n << self.n,):
+            raise ValidationError(f"expected {self.n << self.n} edge weights, got shape {edges.shape}")
+        if edges.reshape(1 << self.n, self.n)[prefix_members(self.n)].any():
+            raise ValidationError("lambda weights an element already in its prefix set")
+        edges.setflags(write=False)
+        self.edges = edges
+
+    def get(self, x: int, prefix) -> float:
+        mask = sum(1 << (y - 1) for y in prefix)
+        return float(self.edges[mask * self.n + x - 1])
 
 
 def canonical_lambda(p: DistributionTable) -> LambdaDecomposition:
@@ -56,22 +73,13 @@ def canonical_lambda(p: DistributionTable) -> LambdaDecomposition:
     for x in range(1, n):  # summed in the order x = 1..n, not pairwise
         mass += joint[:, x]
     lam = np.divide(joint, mass[:, None], out=np.zeros_like(joint), where=mass[:, None] > 0)
-    lam = lam.ravel()
-    return LambdaDecomposition(n, {(x, s): float(lam[e]) for e, x, s in lattice_edges(n)}, 1.0)
-
-
-def _edge_array(lam: LambdaDecomposition) -> np.ndarray:
-    """The weights of lam on the keys of edge_keys(lam.n), zero where lam has none."""
-    edge = np.zeros(lam.n << lam.n)
-    for e, x, prefix in lattice_edges(lam.n):
-        edge[e] = lam.values.get((x, prefix), 0.0)
-    return edge
+    return LambdaDecomposition(n, lam.ravel(), 1.0)
 
 
 def distribution_from_lambda(lam: LambdaDecomposition) -> DistributionTable:
     """Chain product p(pi) = c * prod_k lambda(pi(k+1), {pi(1..k)})."""
     n = lam.n
-    edge = _edge_array(lam)
+    edge = lam.edges
     keys = edge_keys(n)
     raw = edge[keys[:, 0]]
     for k in range(1, n):
@@ -123,12 +131,10 @@ def _conditional_violation(p: DistributionTable) -> float:
 def _union_spread(p: DistributionTable) -> float:
     """Spread of canonical lambda values over pairs sharing the same union set."""
     n = p.n
-    lam = _edge_array(canonical_lambda(p)).reshape(1 << n, n)
-    masks = np.arange(1 << n)[:, None]
-    bits = 1 << np.arange(n)
+    lam = canonical_lambda(p).edges.reshape(1 << n, n)
     # a prefix set has positive mass iff its conditional law sums to 1, not 0
-    reached = ((masks & bits) == 0) & (lam.sum(axis=1) > 0.0)[:, None]
-    union = (masks | bits)[reached]
+    reached = ~prefix_members(n) & (lam.sum(axis=1) > 0.0)[:, None]
+    union = (np.arange(1 << n)[:, None] | (1 << np.arange(n)))[reached]
     hi = np.full(1 << n, -np.inf)
     lo = np.full(1 << n, np.inf)
     np.maximum.at(hi, union, lam[reached])
@@ -153,8 +159,8 @@ def is_decomposable(
     p: DistributionTable, family: FamilyKind, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Verdict and max violation for one of the six decomposable families."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValidationError("tol must be finite and positive")
     if family not in DECOMPOSABLE_KINDS:
         raise ValidationError(f"{family} is not a decomposability family")
     if family is FamilyKind.L:
@@ -202,9 +208,33 @@ def decomposability_report(p: DistributionTable, tol: float = DEFAULT_TOL) -> De
     return DecomposabilityReport(verdicts, violations, tol)
 
 
-class IndependenceMode:
+class IndependenceMode(str, Enum):
     CONSECUTIVE = "consecutive"
     RECTANGLE = "rectangle"
+
+
+def _number(digits: np.ndarray, base: int) -> np.ndarray:
+    """Each row of non-negative digits < base read as one integer, first digit lowest."""
+    assert base ** digits.shape[1] < 2**63, "key overflows int64"
+    return digits @ base ** np.arange(digits.shape[1], dtype=np.int64)
+
+
+def _factor_gap(p: DistributionTable, class_key: np.ndarray, factor_keys) -> float:
+    """Max |p / mass - prod of factor laws| over the cells of the classes of positive mass.
+
+    Cells with equal class_key form one class; each factor key is a marginal
+    whose law, given the class, is one factor of the product.
+    """
+    _, cls = np.unique(class_key, return_inverse=True)
+    mass = np.bincount(cls, weights=p.probs)[cls]
+    seen = mass > 0.0
+    ratio = np.divide(p.probs, mass, out=np.zeros_like(mass), where=seen)
+    prod = np.ones_like(ratio)
+    for key in factor_keys:
+        assert len(p.probs) * (int(key.max()) + 1) < 2**63, "key overflows int64"
+        _, cell = np.unique(cls * (int(key.max()) + 1) + key, return_inverse=True)
+        prod *= np.bincount(cell, weights=ratio)[cell]
+    return float(np.abs(ratio - prod)[seen].max(initial=0.0))
 
 
 def check_block_independence(
@@ -212,29 +242,14 @@ def check_block_independence(
 ) -> tuple[bool, float]:
     """Conditional independence of ordered marginals over arbitrary position atoms,
     given the vector of unordered marginals."""
-    blocks = [tuple(sorted(atom)) for atom in partition.atoms]
-    perms = enumerate_permutations(p.n)
-    classes: dict = defaultdict(list)
-    for idx, pi in enumerate(perms):
-        key = tuple(frozenset(pi[i - 1] for i in block) for block in blocks)
-        classes[key].append(idx)
-    worst = 0.0
-    for members in classes.values():
-        mass = float(p.probs[members].sum())
-        if mass <= 0.0:
-            continue
-        laws = [defaultdict(float) for _ in blocks]
-        for idx in members:
-            pi = perms[idx]
-            w = p.probs[idx] / mass
-            for b, block in enumerate(blocks):
-                laws[b][tuple(pi[i - 1] for i in block)] += w
-        for idx in members:
-            pi = perms[idx]
-            prod = 1.0
-            for b, block in enumerate(blocks):
-                prod *= laws[b][tuple(pi[i - 1] for i in block)]
-            worst = max(worst, abs(p.probs[idx] / mass - prod))
+    n = p.n
+    images = perm_array(n).astype(np.int64) - 1  # pi(i) - 1, row by row
+    positions = images[inverse_index(n)]  # pi^-1(v) - 1
+    atom_of = np.array([partition.atom_of(i) for i in range(1, n + 1)])
+    # digit v: the atom whose image set holds v + 1
+    class_key = _number(atom_of[positions], partition.size)
+    factors = [_number(images[:, sorted(i - 1 for i in atom)], n) for atom in partition.atoms]
+    worst = _factor_gap(p, class_key, factors)
     return worst <= tol, worst
 
 
@@ -242,40 +257,20 @@ def _rectangle_violation(
     p: DistributionTable, kappa: ConsecutiveSections, lamb: ConsecutiveSections
 ) -> float:
     n = p.n
-    row_blocks = kappa.blocks(n)
-    col_blocks = lamb.blocks(n)
-    perms = enumerate_permutations(n)
-    cells = [(rb, frozenset(cb)) for rb in row_blocks for cb in col_blocks]
-
-    def cell_marginal(pi, rb, cset):
-        return frozenset((a, pi[a - 1]) for a in rb if pi[a - 1] in cset)
-
-    classes: dict = defaultdict(list)
-    for idx, pi in enumerate(perms):
-        inv = {v: i + 1 for i, v in enumerate(pi)}
-        key = (
-            tuple(frozenset(pi[i - 1] for i in rb) for rb in row_blocks),
-            tuple(frozenset(inv[v] for v in cb) for cb in col_blocks),
-        )
-        classes[key].append(idx)
-    worst = 0.0
-    for members in classes.values():
-        mass = float(p.probs[members].sum())
-        if mass <= 0.0:
-            continue
-        laws = [defaultdict(float) for _ in cells]
-        for idx in members:
-            pi = perms[idx]
-            w = p.probs[idx] / mass
-            for c, (rb, cset) in enumerate(cells):
-                laws[c][cell_marginal(pi, rb, cset)] += w
-        for idx in members:
-            pi = perms[idx]
-            prod = 1.0
-            for c, (rb, cset) in enumerate(cells):
-                prod *= laws[c][cell_marginal(pi, rb, cset)]
-            worst = max(worst, abs(p.probs[idx] / mass - prod))
-    return worst
+    images = perm_array(n).astype(np.int64) - 1
+    positions = images[inverse_index(n)]
+    row_blocks, col_blocks = kappa.blocks(n), lamb.blocks(n)
+    rows, cols = len(row_blocks), len(col_blocks)
+    row_of = np.repeat(np.arange(rows), [len(b) for b in row_blocks])
+    col_of = np.repeat(np.arange(cols), [len(b) for b in col_blocks])
+    # the position set of every column block, then the image set of every row block
+    class_key = _number(np.hstack([col_of[images], row_of[positions]]), max(rows, cols))
+    # cell (R, C): the images on R that fall in C, and 0 for the others
+    cells = []
+    for block in row_blocks:
+        on_row = images[:, np.array(block) - 1]
+        cells += [_number(np.where(col_of[on_row] == c, on_row + 1, 0), n + 1) for c in range(cols)]
+    return _factor_gap(p, class_key, cells)
 
 
 def check_conditional_independence(

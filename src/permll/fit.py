@@ -77,8 +77,8 @@ class FitOptions:
     def __post_init__(self):
         if self.max_cycles < 1:
             raise ValidationError("max_cycles must be at least 1")
-        if self.marginal_tol <= 0 or self.likelihood_tol <= 0:
-            raise ValidationError("tolerances must be positive")
+        if not (0 < self.marginal_tol < math.inf and 0 < self.likelihood_tol < math.inf):
+            raise ValidationError("tolerances must be finite and positive")
 
 
 @dataclass

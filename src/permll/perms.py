@@ -4,9 +4,10 @@ S_n is one read-only ``(n!, n)`` array per n, ``perm_array(n)``: row i holds
 the 1-based images of the i-th permutation in lexicographic order, and i is
 the index of that permutation in every dense table; ``rank`` maps image rows
 back to it.  Inverting or relabelling a table is one gather ``table[idx]`` by
-``inverse_index`` or ``relabel_index``, and chain statistics are bincounts
-over ``edge_keys``.  A single permutation is a tuple of 1-based images
-(``Perm``); ``enumerate_permutations`` is the tuple view of ``perm_array``.
+``inverse_index`` or ``relabel_index``; chain statistics are bincounts over
+``edge_keys``, which also index the chain weights of ``LambdaDecomposition``.
+A single permutation is a tuple of 1-based images (``Perm``);
+``enumerate_permutations`` is the tuple view of ``perm_array``.
 """
 
 from __future__ import annotations
@@ -119,14 +120,12 @@ def edge_keys(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def lattice_edges(n: int) -> tuple[tuple[int, int, frozenset[int]], ...]:
-    """(key, x, prefix) for every edge prefix -> prefix + {x} of the prefix-set
-    lattice, keyed as in edge_keys."""
-    edges = []
-    for mask in range(1 << n):
-        prefix = frozenset(y for y in range(1, n + 1) if mask >> (y - 1) & 1)
-        edges += [(mask * n + x - 1, x, prefix) for x in range(1, n + 1) if x not in prefix]
-    return tuple(edges)
+def prefix_members(n: int) -> np.ndarray:
+    """Read-only (2^n, n) bool M, true where x lies in the prefix set of the
+    mask: the keys mask * n + x - 1 of edge_keys where M is true are no edges."""
+    members = (np.arange(1 << n)[:, None] & (1 << np.arange(n))) != 0
+    members.setflags(write=False)
+    return members
 
 
 def inverse(pi: Sequence[int]) -> Perm:
@@ -224,10 +223,7 @@ class ConsecutiveSections:
             raise ValidationError(f"sections {secs} not strictly increasing positive")
 
     def partition(self, n: int) -> SetPartition:
-        if self.sections and self.sections[-1] >= n:
-            raise ValidationError(f"sections {self.sections} invalid for n={n}")
-        cuts = (0,) + self.sections + (n,)
-        return SetPartition([range(a + 1, b + 1) for a, b in zip(cuts, cuts[1:])], n)
+        return SetPartition(self.blocks(n), n)
 
     def blocks(self, n: int) -> tuple[tuple[int, ...], ...]:
         """The intervals as ordered position tuples."""
@@ -265,21 +261,6 @@ class ProductPartition:
 
     def __str__(self) -> str:
         return f"{self.rows} x {self.cols}"
-
-
-def marginal(pi: Sequence[int], board: ProductPartition) -> np.ndarray:
-    """Rook counts per block: counts[i][j] = #{s in R_i : pi(s) in C_j}."""
-    if board.n != len(pi):
-        raise SizeError(f"partition for n={board.n} applied to permutation of size {len(pi)}")
-    counts = np.zeros((board.rows.size, board.cols.size), dtype=np.int64)
-    for s, v in enumerate(pi):
-        counts[board.rows.atom_of(s + 1), board.cols.atom_of(v)] += 1
-    return counts
-
-
-def unordered_marginal(pi: Sequence[int], kappa: ConsecutiveSections) -> tuple[frozenset[int], ...]:
-    """Sets of images over each consecutive block of positions."""
-    return tuple(frozenset(pi[i - 1] for i in block) for block in kappa.blocks(len(pi)))
 
 
 class DistributionTable:

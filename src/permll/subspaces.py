@@ -22,7 +22,7 @@ from .perms import (
     ProductPartition,
     SetPartition,
     check_size,
-    enumerate_permutations,
+    inverse_index,
     perm_array,
 )
 
@@ -177,11 +177,17 @@ def stats_aq(pi: Perm, k: int, ell: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _stats_aq_all(n: int, k: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    perms = enumerate_permutations(n)
-    a = np.empty(len(perms), dtype=np.int64)
-    q = np.empty(len(perms), dtype=np.int64)
-    for idx, pi in enumerate(perms):
-        a[idx], q[idx] = stats_aq(pi, k, ell)
+    """stats_aq of every permutation, in index order, as two read-only arrays."""
+    perms = perm_array(n)
+    if not (1 <= k <= n and 1 <= ell <= n):
+        raise ValidationError(f"(k, ell)=({k}, {ell}) outside 1..{n}")
+    a = (perms[:, :k] <= ell).sum(axis=1, dtype=np.int64)
+    row_val = perms[:, k - 1]
+    before = perms[inverse_index(n), ell - 1] < k  # column ell's rook lies above row k
+    q = np.where(row_val > ell, np.where(before, 1, 4), np.where(before, 2, 3))
+    q[row_val == ell] = 5
+    a.setflags(write=False)
+    q.setflags(write=False)
     return a, q
 
 

@@ -1,8 +1,11 @@
 """Reference implementations: one Python loop over the n! permutation tuples each.
 
 These are the package's original loop versions of the passes that now run on
-the array representation in ``permll.perms``.  The differential tests in
-``test_oracles.py`` compare the two.  Nothing in ``permll`` imports this file.
+the array representation in ``permll.perms``, and of the chain weights and
+conditional-independence relations that now run on edge arrays and integer
+keys in ``permll.decompose`` and ``permll.classic``.  The differential tests
+in ``test_oracles.py`` compare the two.  Nothing in ``permll`` imports this
+file.
 """
 
 from __future__ import annotations
@@ -13,19 +16,55 @@ from functools import lru_cache
 
 import numpy as np
 
+from permll import decompose
 from permll.decompose import LambdaDecomposition
-from permll.errors import InvalidLambdaError
+from permll.errors import InvalidLambdaError, SizeError
 from permll.fit import EmpiricalData
 from permll.perms import (
+    ConsecutiveSections,
     DistributionTable,
     Perm,
     ProductPartition,
+    SetPartition,
     check_permutation,
     compose,
     enumerate_permutations,
     inverse,
-    marginal,
 )
+
+
+@lru_cache(maxsize=None)
+def lattice_edges(n: int) -> tuple[tuple[int, int, frozenset[int]], ...]:
+    """(key, x, prefix) for every edge prefix -> prefix + {x} of the prefix-set
+    lattice, keyed as in edge_keys."""
+    edges = []
+    for mask in range(1 << n):
+        prefix = frozenset(y for y in range(1, n + 1) if mask >> (y - 1) & 1)
+        edges += [(mask * n + x - 1, x, prefix) for x in range(1, n + 1) if x not in prefix]
+    return tuple(edges)
+
+
+def lambda_from_dict(n: int, values: dict, constant: float | None) -> LambdaDecomposition:
+    """The edge array of {(x, prefix set): weight}, 0 on edges the dict lacks."""
+    edges = np.zeros(n << n)
+    for e, x, prefix in lattice_edges(n):
+        edges[e] = values.get((x, prefix), 0.0)
+    return LambdaDecomposition(n, edges, constant)
+
+
+def marginal(pi, board: ProductPartition) -> np.ndarray:
+    """Rook counts per block: counts[i][j] = #{s in R_i : pi(s) in C_j}."""
+    if board.n != len(pi):
+        raise SizeError(f"partition for n={board.n} applied to permutation of size {len(pi)}")
+    counts = np.zeros((board.rows.size, board.cols.size), dtype=np.int64)
+    for s, v in enumerate(pi):
+        counts[board.rows.atom_of(s + 1), board.cols.atom_of(v)] += 1
+    return counts
+
+
+def unordered_marginal(pi, kappa: ConsecutiveSections) -> tuple[frozenset[int], ...]:
+    """Sets of images over each consecutive block of positions."""
+    return tuple(frozenset(pi[i - 1] for i in block) for block in kappa.blocks(len(pi)))
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +136,7 @@ def canonical_lambda(p: DistributionTable) -> LambdaDecomposition:
             for x in range(1, n + 1):
                 if x not in prefix:
                     values[(x, prefix)] = joint.get((x, prefix), 0.0) / mass if mass > 0.0 else 0.0
-    return LambdaDecomposition(n, values, 1.0)
+    return lambda_from_dict(n, values, 1.0)
 
 
 def distribution_from_lambda(lam: LambdaDecomposition) -> DistributionTable:
@@ -169,9 +208,9 @@ def union_spread(p: DistributionTable) -> float:
             reach[prefix] += w
             prefix = prefix | {x}
     groups: dict = defaultdict(list)
-    for (x, prefix), v in lam.values.items():
+    for e, x, prefix in lattice_edges(n):
         if reach.get(prefix, 0.0) > 0.0:
-            groups[frozenset(prefix | {x})].append(v)
+            groups[frozenset(prefix | {x})].append(lam.edges[e])
     worst = 0.0
     for vals in groups.values():
         if len(vals) > 1:
@@ -219,3 +258,100 @@ def quasi_independence_raw(arr: np.ndarray, n: int) -> np.ndarray:
             w *= arr[pos, x - 1]
         raw[i] = w
     return raw
+
+
+# The stagewise classic models, with lambda built edge by edge as a dict.
+
+
+def luce_table(theta: np.ndarray, n: int) -> DistributionTable:
+    # lambda(x, C) = theta_x / sum of theta over elements outside C
+    values = {
+        (x, prefix): theta[x - 1] / sum(theta[y - 1] for y in range(1, n + 1) if y not in prefix)
+        for _, x, prefix in lattice_edges(n)
+    }
+    return decompose.distribution_from_lambda(lambda_from_dict(n, values, None))
+
+
+def multistage_table(stages: list[np.ndarray], n: int) -> DistributionTable:
+    values = {
+        (x, prefix): float(stages[len(prefix)][sum(1 for y in range(1, x) if y not in prefix)])
+        for _, x, prefix in lattice_edges(n)
+    }
+    return decompose.distribution_from_lambda(lambda_from_dict(n, values, None))
+
+
+def repeated_insertion_table(stages: list[np.ndarray], n: int) -> DistributionTable:
+    values = {
+        (x, prefix): float(stages[x - 1][sum(1 for y in prefix if y < x)])
+        for _, x, prefix in lattice_edges(n)
+    }
+    return decompose.distribution_from_lambda(lambda_from_dict(n, values, None))
+
+
+def check_block_independence(p: DistributionTable, partition: SetPartition, tol: float = 1e-9):
+    """Conditional independence of ordered marginals over arbitrary position atoms,
+    given the vector of unordered marginals."""
+    blocks = [tuple(sorted(atom)) for atom in partition.atoms]
+    perms = enumerate_permutations(p.n)
+    classes: dict = defaultdict(list)
+    for idx, pi in enumerate(perms):
+        key = tuple(frozenset(pi[i - 1] for i in block) for block in blocks)
+        classes[key].append(idx)
+    worst = 0.0
+    for members in classes.values():
+        mass = float(p.probs[members].sum())
+        if mass <= 0.0:
+            continue
+        laws = [defaultdict(float) for _ in blocks]
+        for idx in members:
+            pi = perms[idx]
+            w = p.probs[idx] / mass
+            for b, block in enumerate(blocks):
+                laws[b][tuple(pi[i - 1] for i in block)] += w
+        for idx in members:
+            pi = perms[idx]
+            prod = 1.0
+            for b, block in enumerate(blocks):
+                prod *= laws[b][tuple(pi[i - 1] for i in block)]
+            worst = max(worst, abs(p.probs[idx] / mass - prod))
+    return worst <= tol, worst
+
+
+def rectangle_violation(
+    p: DistributionTable, kappa: ConsecutiveSections, lamb: ConsecutiveSections
+) -> float:
+    n = p.n
+    row_blocks = kappa.blocks(n)
+    col_blocks = lamb.blocks(n)
+    perms = enumerate_permutations(n)
+    cells = [(rb, frozenset(cb)) for rb in row_blocks for cb in col_blocks]
+
+    def cell_marginal(pi, rb, cset):
+        return frozenset((a, pi[a - 1]) for a in rb if pi[a - 1] in cset)
+
+    classes: dict = defaultdict(list)
+    for idx, pi in enumerate(perms):
+        inv = {v: i + 1 for i, v in enumerate(pi)}
+        key = (
+            tuple(frozenset(pi[i - 1] for i in rb) for rb in row_blocks),
+            tuple(frozenset(inv[v] for v in cb) for cb in col_blocks),
+        )
+        classes[key].append(idx)
+    worst = 0.0
+    for members in classes.values():
+        mass = float(p.probs[members].sum())
+        if mass <= 0.0:
+            continue
+        laws = [defaultdict(float) for _ in cells]
+        for idx in members:
+            pi = perms[idx]
+            w = p.probs[idx] / mass
+            for c, (rb, cset) in enumerate(cells):
+                laws[c][cell_marginal(pi, rb, cset)] += w
+        for idx in members:
+            pi = perms[idx]
+            prod = 1.0
+            for c, (rb, cset) in enumerate(cells):
+                prod *= laws[c][cell_marginal(pi, rb, cset)]
+            worst = max(worst, abs(p.probs[idx] / mass - prod))
+    return worst

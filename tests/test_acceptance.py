@@ -10,6 +10,7 @@ import os
 import pathlib
 
 import numpy as np
+import oracles
 import pytest
 
 from permll import (
@@ -50,7 +51,6 @@ from permll import (
     subspace_intersection_dim,
 )
 from permll.cli import parse_counts
-from permll import LambdaDecomposition
 from permll.exactrank import exact_rank
 from permll.fit import SearchSide
 from permll.subspaces import generators, span_matrix
@@ -79,7 +79,7 @@ def random_l_table(n, seed):
             weights = rng.dirichlet(np.ones(len(rest)))
             for x, w in zip(rest, weights):
                 values[(x, prefix)] = float(w)
-    return distribution_from_lambda(LambdaDecomposition(n, values, None))
+    return distribution_from_lambda(oracles.lambda_from_dict(n, values, None))
 
 
 MBT_ALPHA = {4: [0.4, 0.3, 0.2, 0.1], 5: [0.3, 0.25, 0.2, 0.15, 0.1]}

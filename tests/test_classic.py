@@ -188,6 +188,19 @@ class TestSampler:
         sigma = math.sqrt(6000 * (1 / 6) * (5 / 6))
         assert np.abs(data.counts - 1000).max() < 5 * sigma
 
+    def test_never_draws_a_zero_probability_cell(self, monkeypatch):
+        # the table sums to 1 - 5e-13, below the largest double under 1
+        probs = [0.25, 0.25, 0.25, 0.25 - 5e-13, 0.0, 0.0]
+        table = DistributionTable(3, probs)
+        assert table.probs.sum() < np.nextafter(1.0, 0.0)
+
+        class LastDraw:
+            def random(self, m):
+                return np.full(m, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: LastDraw())
+        assert sample(table, 7, seed=0).counts.tolist() == [0, 0, 0, 7, 0, 0]
+
     def test_sample_size_validation(self):
         with pytest.raises(ValidationError):
             sample(DistributionTable.uniform(3), 0, seed=0)

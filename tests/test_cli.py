@@ -164,3 +164,37 @@ class TestExitCodes:
 
     def test_unknown_family_is_one(self, capsys):
         assert main(["dims", "--family", "nope", "--n", "4"]) == 1
+
+
+MBT4 = json.dumps({"kind": "mbt", "n": 4, "params": {"alpha": [0.4, 0.3, 0.2, 0.1]}})
+COUNTS2 = "n=2\n1 2,3\n2 1,1\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"s.json": "{not json"}, ["check", "--spec", "@s.json"]),
+        ({"s.json": b"\xff\xfe"}, ["check", "--spec", "@s.json"]),
+        ({"s.json": "[1, 2]"}, ["check", "--spec", "@s.json"]),
+        ({"s.json": MBT4.replace("[0.4, 0.3, 0.2, 0.1]", '"abc"')}, ["check", "--spec", "@s.json"]),
+        ({"s.json": MBT4.replace("[0.4, 0.3, 0.2, 0.1]", "[[1], [2, 3]]")}, ["check", "--spec", "@s.json"]),
+        ({"s.json": '{"kind": "multistage", "n": 3, "params": {"theta": 5}}'},
+         ["check", "--spec", "@s.json"]),
+        ({"s.json": MBT4}, ["sample", "--spec", "@s.json", "--m", "5", "--seed", "-1"]),
+        ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "nan", "--json"]),
+        ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "inf"]),
+        ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "nan"]),
+        ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "inf"]),
+    ],
+    ids=["not-json", "not-utf8", "not-an-object", "alpha-abc", "ragged-alpha", "theta-scalar",
+         "negative-seed", "check-tol-nan", "check-tol-inf", "fit-tol-nan", "fit-tol-inf"],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, files, argv):
+    for name, body in files.items():
+        path = tmp_path / name
+        path.write_bytes(body) if isinstance(body, bytes) else path.write_text(body)
+    code = main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in out + err and "NaN" not in out

@@ -1,12 +1,15 @@
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 
 from permll import (
     ConsecutiveSections,
     DistributionTable,
     FamilyKind,
+    FitOptions,
+    GeneratorFamily,
     IndependenceMode,
     LambdaDecomposition,
     all_consecutive_sections,
@@ -17,6 +20,7 @@ from permll import (
     distribution_from_lambda,
     inverse,
     inverse_distribution,
+    ipfp_fit,
     is_decomposable,
     markovianize,
 )
@@ -41,7 +45,7 @@ def random_l_table(n, seed):
             weights = rng.dirichlet(np.ones(len(rest)))
             for x, w in zip(rest, weights):
                 values[(x, prefix)] = float(w)
-    return distribution_from_lambda(LambdaDecomposition(n, values, None))
+    return distribution_from_lambda(oracles.lambda_from_dict(n, values, None))
 
 
 class TestLambda:
@@ -70,9 +74,20 @@ class TestLambda:
 
     def test_bad_constant_rejected(self):
         lam = canonical_lambda(random_table(3, 2))
-        bad = LambdaDecomposition(lam.n, dict(lam.values), 2.0)
+        bad = LambdaDecomposition(lam.n, lam.edges, 2.0)
         with pytest.raises(InvalidLambdaError):
             distribution_from_lambda(bad)
+
+    def test_edge_array_shape_and_prefix_entries(self):
+        lam = canonical_lambda(random_table(3, 6))
+        assert lam.edges.shape == (3 << 3,) and not lam.edges.flags.writeable
+        assert lam.get(2, {1, 3}) == lam.edges[0b101 * 3 + 1]
+        with pytest.raises(ValidationError):
+            LambdaDecomposition(3, lam.edges[:-1])
+        bad = lam.edges.copy()
+        bad[0b001 * 3 + 0] = 0.5  # lambda(1 | {1})
+        with pytest.raises(ValidationError):
+            LambdaDecomposition(3, bad)
 
     def test_markovianize_idempotent(self):
         p = random_table(4, 3)
@@ -169,3 +184,59 @@ class TestConditionalIndependence:
             DistributionTable.uniform(4), SetPartition.parse("1,3|2,4", 4)
         )
         assert ok and viol < 1e-12
+
+
+def bi_member(n, seed):
+    """A few IPFP cycles from uniform toward a Dirichlet table: every iterate lies in BI."""
+    family = GeneratorFamily(FamilyKind.BI, n)
+    return ipfp_fit(family, random_table(n, seed), FitOptions(max_cycles=3)).fitted
+
+
+class TestCharacterisationAtFive:
+    """The paper's conditional-independence descriptions of L and BI, at n = 5."""
+
+    N = 5
+    SECTIONS = all_consecutive_sections(N)
+    WITH_TRIVIAL = [ConsecutiveSections(())] + SECTIONS
+
+    def consecutive(self, p):
+        return [
+            check_conditional_independence(p, IndependenceMode.CONSECUTIVE, kappa)
+            for kappa in self.SECTIONS
+        ]
+
+    def rectangle_holds(self, p):
+        return all(
+            check_conditional_independence(p, IndependenceMode.RECTANGLE, kappa, lamb)[0]
+            for kappa in self.WITH_TRIVIAL
+            for lamb in self.WITH_TRIVIAL
+        )
+
+    @pytest.mark.parametrize(
+        "make, in_l, in_bi",
+        [
+            (lambda s: bi_member(5, 30 + s), True, True),
+            (lambda s: random_l_table(5, 40 + s), True, False),
+            (lambda s: inverse_distribution(random_l_table(5, 50 + s)), False, False),
+            (lambda s: random_table(5, 60 + s), False, False),
+        ],
+        ids=["bi-member", "l-only", "inverse-l", "dirichlet"],
+    )
+    def test_sweeps_match_the_verdicts(self, make, in_l, in_bi):
+        for seed in range(2):
+            p = make(seed)
+            assert is_decomposable(p, FamilyKind.L)[0] is in_l
+            assert is_decomposable(p, FamilyKind.BI)[0] is in_bi
+            assert all(ok for ok, _ in self.consecutive(p)) is in_l
+            assert self.rectangle_holds(p) is in_bi
+
+    def test_rectangle_with_one_trivial_side_is_consecutive(self):
+        p = random_table(self.N, 70)
+        q = inverse_distribution(p)
+        trivial = ConsecutiveSections(())
+        for kappa, (_, viol) in zip(self.SECTIONS, self.consecutive(p)):
+            rect = check_conditional_independence(p, "rectangle", kappa, trivial)[1]
+            assert abs(rect - viol) <= 1e-15
+        for lamb, (_, viol) in zip(self.SECTIONS, self.consecutive(q)):
+            rect = check_conditional_independence(p, "rectangle", trivial, lamb)[1]
+            assert abs(rect - viol) <= 1e-15

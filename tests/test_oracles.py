@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from permll import (
     ClassicKind,
     ClassicSpec,
+    ConsecutiveSections,
     DistributionTable,
     EmpiricalData,
     FamilyKind,
     GeneratorFamily,
-    LambdaDecomposition,
+    SetPartition,
     canonical_lambda,
+    check_block_independence,
     classic_distribution,
     distribution_from_lambda,
     enumerate_permutations,
@@ -28,7 +30,7 @@ from permll import (
     right_invariance_group,
     search_relabelling,
 )
-from permll.decompose import _conditional_violation, _union_spread
+from permll.decompose import _conditional_violation, _rectangle_violation, _union_spread
 from permll.fit import SearchSide, _orbit_representatives
 from permll.perms import perm_array, rank, relabel_index
 from permll.subspaces import atom_labels
@@ -85,8 +87,7 @@ def test_inverse_and_relabel_gathers_equal_the_loops(p, s1, s2):
 @given(tables())
 def test_chain_lambda_and_product_match_the_loops(p):
     lam, ref = canonical_lambda(p), oracles.canonical_lambda(p)
-    assert lam.values.keys() == ref.values.keys()
-    assert max(abs(lam.values[k] - ref.values[k]) for k in ref.values) <= 1e-15
+    assert np.abs(lam.edges - ref.edges).max() <= 1e-15
     got = distribution_from_lambda(lam).probs
     assert np.abs(got - oracles.distribution_from_lambda(ref).probs).max() <= 1e-15
 
@@ -102,7 +103,7 @@ def test_unnormalized_lambda_product_matches_the_loop(n, seed):
         for x in range(1, n + 1)
         if x not in comb
     }
-    lam = LambdaDecomposition(n, values, None)
+    lam = oracles.lambda_from_dict(n, values, None)
     got = distribution_from_lambda(lam).probs
     assert np.abs(got - oracles.distribution_from_lambda(lam).probs).max() <= 1e-15
 
@@ -148,6 +149,42 @@ def test_classic_product_formulas_match_the_loops(n, seed):
         got = classic_distribution(ClassicSpec(kind, {key: param.tolist()}), n).probs
         raw = loop(np.asarray(param.tolist()), n)
         assert (got == DistributionTable(n, raw / raw.sum()).probs).all(), kind
+
+
+@SETTINGS
+@given(tables(max_n=5), st.data())
+def test_independence_relations_match_the_loops(p, data):
+    n = p.n
+    # any partition of the positions, consecutive or not
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    partition = SetPartition([[i + 1 for i in range(n) if labels[i] == b] for b in set(labels)], n)
+    ok, viol = check_block_independence(p, partition)
+    want_ok, want = oracles.check_block_independence(p, partition)
+    assert ok == want_ok and abs(viol - want) <= 1e-12
+
+    def sections():
+        cut = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        return ConsecutiveSections(tuple(k + 1 for k, c in enumerate(cut) if c))
+
+    kappa, lamb = sections(), sections()
+    assert abs(_rectangle_violation(p, kappa, lamb) - oracles.rectangle_violation(p, kappa, lamb)) <= 1e-12
+
+
+def test_stagewise_tables_equal_the_loops():
+    rng = np.random.default_rng(21)
+    for n in range(2, 9):
+        theta = rng.dirichlet(np.ones(n))
+        stages = [rng.dirichlet(np.ones(n - k)) for k in range(n)]
+        slots = [rng.dirichlet(np.ones(k)) for k in range(1, n + 1)]
+        cases = [
+            (ClassicKind.LUCE, theta.tolist(), oracles.luce_table(theta, n)),
+            (ClassicKind.MULTISTAGE, [s.tolist() for s in stages], oracles.multistage_table(stages, n)),
+            (ClassicKind.REPEATED_INSERTION, [s.tolist() for s in slots],
+             oracles.repeated_insertion_table(slots, n)),
+        ]
+        for kind, param, want in cases:
+            got = classic_distribution(ClassicSpec(kind, {"theta": param}), n)
+            assert (got.probs == want.probs).all(), (kind, n)
 
 
 def test_search_matches_the_loop():

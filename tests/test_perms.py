@@ -18,7 +18,8 @@ from permll import (
     relabel_distribution,
 )
 from permll.errors import SizeError, ValidationError
-from permll.perms import check_permutation, marginal, unordered_marginal
+from oracles import marginal, unordered_marginal
+from permll.perms import check_permutation
 
 
 def random_perm(draw_n, seed):

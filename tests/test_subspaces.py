@@ -26,8 +26,8 @@ from permll import (
 )
 from permll.errors import SizeError, ValidationError
 from permll.exactrank import exact_rank
-from permll.perms import marginal
-from permll.subspaces import RANK_MAX_N
+from permll.subspaces import RANK_MAX_N, _stats_aq_all
+from oracles import marginal
 
 
 def brute_stats(pi, k, ell):
@@ -63,6 +63,14 @@ class TestFamilies:
 
 
 class TestStats:
+    def test_stats_arrays_equal_the_definition(self):
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                for ell in range(1, n + 1):
+                    a, q = _stats_aq_all(n, k, ell)
+                    want = [stats_aq(pi, k, ell) for pi in enumerate_permutations(n)]
+                    assert list(zip(a.tolist(), q.tolist())) == want, (n, k, ell)
+
     def test_stats_aq_examples(self):
         assert stats_aq((2, 1, 4, 3), 2, 3) == (2, 3)
         assert stats_aq((4, 3, 2, 1), 1, 1) == (0, 4)
