@@ -35,7 +35,6 @@ from .fit import (
     FitOptions,
     FitReport,
     SearchSide,
-    alternating_fit,
     empirical,
     explicit_L_mle,
     fit_family,

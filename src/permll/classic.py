@@ -175,10 +175,12 @@ def spec_from_json(path) -> tuple[ClassicSpec, int]:
             raise ParseError(f"{path}: not a JSON spec file: {exc}") from None
     try:
         kind = ClassicKind(doc["kind"])
-        n = int(doc["n"])
+        n = doc["n"]
         params = dict(doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad classic spec file {path}: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValidationError(f"bad classic spec file {path}: n must be an integer, got {n!r}")
     return ClassicSpec(kind, params), n
 
 

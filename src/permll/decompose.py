@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InternalCheckError, InvalidLambdaError, ValidationError
+from .errors import InternalCheckError, InvalidLambdaError, SizeError, ValidationError
 from .perms import (
     ConsecutiveSections,
     DistributionTable,
@@ -59,6 +59,8 @@ class LambdaDecomposition:
         self.edges = edges
 
     def get(self, x: int, prefix) -> float:
+        if not 1 <= x <= self.n:
+            raise ValidationError(f"element {x} outside 1..{self.n}")
         mask = sum(1 << (y - 1) for y in prefix)
         return float(self.edges[mask * self.n + x - 1])
 
@@ -243,6 +245,8 @@ def check_block_independence(
     """Conditional independence of ordered marginals over arbitrary position atoms,
     given the vector of unordered marginals."""
     n = p.n
+    if partition.n != n:
+        raise SizeError(f"partition of 1..{partition.n} applied to a table on S_{n}")
     images = perm_array(n).astype(np.int64) - 1  # pi(i) - 1, row by row
     positions = images[inverse_index(n)]  # pi^-1(v) - 1
     atom_of = np.array([partition.atom_of(i) for i in range(1, n + 1)])

@@ -1,8 +1,9 @@
 """Maximum-likelihood fitting, goodness of fit, and relabelling search.
 
 IPFP cyclically rescales a table so that the law of every generator's block
-counts matches the empirical one; the L-family estimate is also available in
-closed form through the canonical chain decomposition.
+counts matches the empirical one, on the chain weights of the prefix-set
+lattice rather than on the n! cells; the L-family estimate is also available
+in closed form through the canonical chain decomposition.
 """
 
 from __future__ import annotations
@@ -11,24 +12,36 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .decompose import inverse_distribution, markovianize
+from .decompose import LambdaDecomposition, distribution_from_lambda, inverse_distribution, markovianize
 from .errors import SizeError, SupportMismatchError, ValidationError
 from .perms import (
     DistributionTable,
     Perm,
+    ProductPartition,
     check_permutation,
     check_size,
     compose,
+    edge_keys,
     enumerate_permutations,
     identity,
+    lattice_levels,
     perm_array,
     rank,
     relabel_index,
 )
-from .subspaces import FamilyKind, GeneratorFamily, atom_labels, formula_dimension, generators
+from .subspaces import (
+    FamilyKind,
+    GeneratorFamily,
+    SectionKind,
+    atom_labels,
+    formula_dimension,
+    generators,
+    section_partition,
+)
 
 
 @dataclass
@@ -72,13 +85,12 @@ def empirical(data: EmpiricalData) -> DistributionTable:
 class FitOptions:
     max_cycles: int = 10000
     marginal_tol: float = 1e-9
-    likelihood_tol: float = 1e-9
 
     def __post_init__(self):
         if self.max_cycles < 1:
             raise ValidationError("max_cycles must be at least 1")
-        if not (0 < self.marginal_tol < math.inf and 0 < self.likelihood_tol < math.inf):
-            raise ValidationError("tolerances must be finite and positive")
+        if not 0 < self.marginal_tol < math.inf:
+            raise ValidationError("marginal_tol must be finite and positive")
 
 
 @dataclass
@@ -124,34 +136,128 @@ def _r_loglik(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.dot(r[mask], np.log(p[mask])))
 
 
-def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | None = None) -> FitReport:
-    """Iterative proportional fitting: cycle over the family's generators,
-    rescaling each block-count atom to the empirical atom mass."""
-    opts = opts or FitOptions()
-    if r.n != family.n:
-        raise SizeError(f"table for n={r.n} but family for n={family.n}")
-    gens = generators(family)
-    labels = [atom_labels(board, family.n) for board in gens]
-    emp = [np.bincount(lab, weights=r.probs, minlength=k) for lab, k in labels]
-    p = np.full(len(r.probs), 1.0 / len(r.probs))
+_PRIMED = (FamilyKind.L_PRIME, FamilyKind.L_S_PRIME)
 
+
+@lru_cache(maxsize=None)
+def _lattice_generators(family: GeneratorFamily):
+    """The family's generators on the edges of the prefix-set lattice.
+
+    Per generator, in the family's order (levels never decrease): its level k,
+    the atom of each edge of level k, and the atom count.  Then, to measure
+    every generator's gap in one bincount: the edge and offset atom of each
+    (generator, edge) pair and the generator of each offset atom.  The boards
+    of L' and L_S' are transposed, since those families are fitted on the
+    inverse table.
+    """
+    n = family.n
+    bounds = lattice_levels(n)[3]
+    bold = [section_partition(SectionKind.BOLD, k + 1, n) for k in range(n)]
+    gens = []
+    for board in generators(family):
+        if family.kind in _PRIMED:
+            board = ProductPartition(board.cols, board.rows)
+        level = next(k for k in range(n) if bold[k].refines(board.rows))
+        gens.append((level, *atom_labels(board, n, level)))
+    sizes = [size for _, _, size in gens]
+    offsets = np.cumsum([0] + sizes)
+    none = [np.zeros(0, dtype=np.int64)]  # for families without generators
+    pair_edges = np.concatenate(none + [np.arange(bounds[k], bounds[k + 1]) for k, _, _ in gens])
+    pair_atoms = np.concatenate(none + [labels + off for (_, labels, _), off in zip(gens, offsets)])
+    owner = np.repeat(np.arange(len(gens)), sizes)
+    for arr in (pair_edges, pair_atoms, owner):
+        arr.setflags(write=False)
+    return tuple(gens), pair_edges, pair_atoms, owner
+
+
+def _lattice_ipfp(family: GeneratorFamily, r: np.ndarray, opts: FitOptions):
+    """IPFP on the edge weights w of p(pi) = prod_k w(edge k of pi), starting
+    from 1/n! on level 0 and 1 elsewhere.
+
+    A generator of level k rescales the weights of that level only.  Its atom
+    masses sum, over the edges S -> T of level k, F(S) w(S -> T) B(T), where F
+    and B sum the weight products of the paths from the empty set to S and from
+    T to the full set.  F of level k reads only lower levels and B of level
+    k + 1 only higher ones, so one forward sweep keeps F current and B stays
+    valid from the last gap check.  Returns the weights keyed as in
+    edge_keys, the log-likelihood trace, the cycles run and the last gap.
+    """
+    n = family.n
+    key, source, target, bounds = lattice_levels(n)
+    levels = [slice(bounds[k], bounds[k + 1]) for k in range(n)]
+    level_of = np.repeat(np.arange(n), np.diff(bounds))
+    gens, pair_edges, pair_atoms, owner = _lattice_generators(family)
+    emp = np.bincount(edge_keys(n).ravel(), weights=np.repeat(r, n), minlength=n << n)[key]
+    goal = np.bincount(pair_atoms, weights=emp[pair_edges], minlength=len(owner))
+    goals = np.split(goal, np.cumsum([size for _, _, size in gens])[:-1])
+    w = np.ones(len(key))
+    w[levels[0]] = 1.0 / len(r)
+    nodes = 1 << n
+    fwd = np.zeros((n + 1, nodes))  # F, one row per level of masks
+    bwd = np.zeros((n + 1, nodes))  # B, likewise
+    fwd[0, 0] = bwd[n, -1] = 1.0
+
+    def forward(k: int) -> None:
+        e = levels[k]
+        fwd[k + 1] = np.bincount(target[e], weights=fwd[k, source[e]] * w[e], minlength=nodes)
+
+    def backward() -> None:
+        for k in reversed(range(n)):
+            e = levels[k]
+            bwd[k] = np.bincount(source[e], weights=w[e] * bwd[k + 1, target[e]], minlength=nodes)
+
+    backward()
     trace = []
     gap = np.inf
     cycles = 0
     for cycle in range(opts.max_cycles):
-        for (lab, k), target in zip(labels, emp):
-            cur = np.bincount(lab, weights=p, minlength=k)
-            factor = np.divide(target, cur, out=np.zeros_like(cur), where=cur > 0)
-            p = p * factor[lab]
+        level = -1
+        for (k, labels, size), target_k in zip(gens, goals):
+            if k != level:
+                for j in range(max(level, 0), k):
+                    forward(j)
+                level, e = k, levels[k]
+                wk, fb = w[e], fwd[k, source[e]] * bwd[k + 1, target[e]]
+            cur = np.bincount(labels, weights=fb * wk, minlength=size)
+            wk *= np.divide(target_k, cur, out=np.zeros(size), where=cur > 0)[labels]
+        backward()
         cycles = cycle + 1
-        gap = 0.0
-        for (lab, k), target in zip(labels, emp):
-            cur = np.bincount(lab, weights=p, minlength=k)
-            gap = max(gap, 0.5 * float(np.abs(cur - target).sum()))
-        trace.append(_r_loglik(r.probs, p))
+        # F is current up to the last generator's level, all that pair_edges reads
+        mass = fwd[level_of, source] * w * bwd[level_of + 1, target]
+        cur = np.bincount(pair_atoms, weights=mass[pair_edges], minlength=len(owner))
+        gap = 0.5 * float(np.bincount(owner, np.abs(cur - goal), minlength=len(gens)).max(initial=0.0))
+        trace.append(_r_loglik(emp, w))
         if gap <= opts.marginal_tol:
             break
-    fitted = DistributionTable(family.n, p)
+    weights = np.zeros(n << n)
+    weights[key] = w
+    return weights, trace, cycles, gap
+
+
+def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | None = None) -> FitReport:
+    """Iterative proportional fitting: cycle over the family's generators,
+    rescaling each block-count atom to the empirical atom mass.
+
+    Each generator but the saturated one reads one step of the chain through
+    the prefix-set lattice (of the inverse, for L' and L_S'), so the fit runs
+    on the n * 2^(n-1) chain weights, not on the n! cells.  The saturated fit
+    is one rescaling of the uniform table.
+    """
+    opts = opts or FitOptions()
+    if r.n != family.n:
+        raise SizeError(f"table for n={r.n} but family for n={family.n}")
+    if family.kind is FamilyKind.SATURATED:
+        u = np.full(len(r.probs), 1.0 / len(r.probs))
+        fitted = DistributionTable(r.n, u * (r.probs / u))
+        gap = 0.5 * float(np.abs(fitted.probs - r.probs).sum())
+        trace, cycles = [_r_loglik(r.probs, fitted.probs)], 1
+    else:
+        primed = family.kind in _PRIMED
+        data = inverse_distribution(r) if primed else r
+        weights, trace, cycles, gap = _lattice_ipfp(family, data.probs, opts)
+        fitted = distribution_from_lambda(LambdaDecomposition(r.n, weights, 1.0))
+        if primed:
+            fitted = inverse_distribution(fitted)
     return FitReport(
         fitted=fitted,
         family=family.kind,
@@ -178,38 +284,6 @@ def explicit_L_mle(r: DistributionTable, primed: bool = False) -> FitReport:
         cycles_used=1,
         converged=True,
         max_marginal_gap=0.0,
-    )
-
-
-def alternating_fit(r: DistributionTable, opts: FitOptions | None = None) -> FitReport:
-    """Alternate the explicit L and L' projection maps until the likelihood settles.
-
-    Agreement with IPFP on the bi-decomposable family is checked empirically
-    in the test suite, not assumed.
-    """
-    opts = opts or FitOptions()
-    p = r
-    trace = []
-    converged = False
-    cycles = 0
-    for cycle in range(opts.max_cycles):
-        p = explicit_L_mle(p).fitted
-        p = explicit_L_mle(p, primed=True).fitted
-        cycles = cycle + 1
-        ll = _r_loglik(r.probs, p.probs)
-        trace.append(ll)
-        if cycle > 0 and abs(trace[-1] - trace[-2]) <= opts.likelihood_tol:
-            converged = True
-            break
-    return FitReport(
-        fitted=p,
-        family=FamilyKind.BI,
-        n=r.n,
-        log_likelihood=trace[-1],
-        cycles_used=cycles,
-        converged=converged,
-        max_marginal_gap=abs(trace[-1] - trace[-2]) if len(trace) > 1 else 0.0,
-        loglik_trace=trace,
     )
 
 
@@ -297,7 +371,10 @@ def search_relabelling(
     opts: FitOptions | None = None,
 ) -> tuple[Perm, Perm, FitReport]:
     """Exhaustive search for the relabelling (sigma, rho) maximizing the fitted
-    log-likelihood; ties go to the lexicographically smallest pair."""
+    log-likelihood; ties go to the lexicographically smallest pair.  A pair
+    within marginal_tol * max(1, |best|) of the best so far ties with it, so
+    rounding noise in the fits never picks the winner."""
+    opts = opts or FitOptions()
     n = data.n
     if side is SearchSide.BOTH and n > 6:
         raise SizeError("two-sided search capped at n=6")
@@ -326,7 +403,7 @@ def search_relabelling(
             relabelled = EmpiricalData(n, data.counts[relabel_index(n, sigma, rho)])
             report = fit_family(family, relabelled, opts)
             key = report.log_likelihood
-            if best is None or key > best[0] + 1e-12:
+            if best is None or key > best[0] + opts.marginal_tol * max(1.0, abs(best[0])):
                 best = (key, sigma, rho, report)
     _, sigma, rho, report = best
     report.relabelling = (sigma, rho)

@@ -5,7 +5,8 @@ the 1-based images of the i-th permutation in lexicographic order, and i is
 the index of that permutation in every dense table; ``rank`` maps image rows
 back to it.  Inverting or relabelling a table is one gather ``table[idx]`` by
 ``inverse_index`` or ``relabel_index``; chain statistics are bincounts over
-``edge_keys``, which also index the chain weights of ``LambdaDecomposition``.
+``edge_keys``, which also index the chain weights of ``LambdaDecomposition``;
+``lattice_levels`` lists those edges level by level.
 A single permutation is a tuple of 1-based images (``Perm``);
 ``enumerate_permutations`` is the tuple view of ``perm_array``.
 """
@@ -126,6 +127,23 @@ def prefix_members(n: int) -> np.ndarray:
     members = (np.arange(1 << n)[:, None] & (1 << np.arange(n))) != 0
     members.setflags(write=False)
     return members
+
+
+@lru_cache(maxsize=None)
+def lattice_levels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The n * 2^(n-1) edges S -> S + {x} of the prefix-set lattice, by level |S|
+    and then by key: read-only arrays (key as in edge_keys, source mask, target
+    mask, bounds), with the edges of level k at bounds[k]:bounds[k + 1]."""
+    members = prefix_members(n)
+    key = np.flatnonzero(~members.ravel())
+    source, x = np.divmod(key, n)
+    level = members.sum(axis=1)[source]
+    order = np.argsort(level, kind="stable")
+    arrays = (key[order], source[order], source[order] | (1 << x[order]))
+    bounds = np.searchsorted(level[order], np.arange(n + 1))
+    for arr in arrays + (bounds,):
+        arr.setflags(write=False)
+    return arrays + (bounds,)
 
 
 def inverse(pi: Sequence[int]) -> Perm:

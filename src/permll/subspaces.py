@@ -23,7 +23,9 @@ from .perms import (
     SetPartition,
     check_size,
     inverse_index,
+    lattice_levels,
     perm_array,
+    prefix_members,
 )
 
 RANK_MAX_N = 7
@@ -312,17 +314,31 @@ def formula_dimension(family: GeneratorFamily) -> int:
 
 
 @lru_cache(maxsize=None)
-def atom_labels(board: ProductPartition, n: int) -> tuple[np.ndarray, int]:
+def atom_labels(board: ProductPartition, n: int, level: int | None = None) -> tuple[np.ndarray, int]:
     """Atom index per permutation under pi -> |pi_B|, with atoms in lexicographic key order.
 
     The key is the block-count matrix read row-major as a mixed-radix integer
     (a cell in row atom R_i counts at most |R_i| rooks).  Before a digit could
     overflow int64, the key becomes its rank among the distinct keys, which
     keeps their order.  The labels are read-only and cached per board.
+
+    With a level k whose bold section k + 1 refines the rows, every
+    permutation through an edge S -> S + {x} of level k has the same block
+    counts, so the labels are per edge instead, in ``lattice_levels`` order,
+    each read off one permutation: sorted S, then x, then the rest sorted.
     """
     if board.n != n:
         raise SizeError(f"partition for n={board.n} applied to permutations of size {n}")
-    perms = perm_array(n)
+    if level is None:
+        perms = perm_array(n)
+    else:
+        if not section_partition(SectionKind.BOLD, level + 1, n).refines(board.rows):
+            raise ValidationError(f"rows {board.rows} do not read one edge of level {level}")
+        key, source, _, bounds = lattice_levels(n)
+        edges = slice(bounds[level], bounds[level + 1])
+        group = np.where(prefix_members(n)[source[edges]], 0, 2)
+        group[np.arange(len(group)), key[edges] % n] = 1
+        perms = np.argsort(group * n + np.arange(n), axis=1) + 1
     size = len(perms)
     ncols = board.cols.size
     col_of = np.array([board.cols.atom_of(v) for v in range(1, n + 1)])

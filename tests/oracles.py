@@ -3,7 +3,10 @@
 These are the package's original loop versions of the passes that now run on
 the array representation in ``permll.perms``, and of the chain weights and
 conditional-independence relations that now run on edge arrays and integer
-keys in ``permll.decompose`` and ``permll.classic``.  The differential tests
+keys in ``permll.decompose`` and ``permll.classic``.  ``ipfp_fit`` is the
+IPFP that rescales all n! cells, which ``permll.fit`` now runs on the edges
+of the prefix-set lattice; ``alternating_fit`` alternates the explicit L and
+L' maps, a cross-check of the BI fit.  The differential tests
 in ``test_oracles.py`` compare the two.  Nothing in ``permll`` imports this
 file.
 """
@@ -19,7 +22,7 @@ import numpy as np
 from permll import decompose
 from permll.decompose import LambdaDecomposition
 from permll.errors import InvalidLambdaError, SizeError
-from permll.fit import EmpiricalData
+from permll.fit import EmpiricalData, FitOptions, FitReport, _r_loglik, explicit_L_mle
 from permll.perms import (
     ConsecutiveSections,
     DistributionTable,
@@ -31,6 +34,7 @@ from permll.perms import (
     enumerate_permutations,
     inverse,
 )
+from permll.subspaces import FamilyKind, GeneratorFamily, atom_labels as array_atom_labels, generators
 
 
 @lru_cache(maxsize=None)
@@ -355,3 +359,74 @@ def rectangle_violation(
                 prod *= laws[c][cell_marginal(pi, rb, cset)]
             worst = max(worst, abs(p.probs[idx] / mass - prod))
     return worst
+
+
+def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | None = None) -> FitReport:
+    """Iterative proportional fitting: cycle over the family's generators,
+    rescaling each block-count atom to the empirical atom mass."""
+    opts = opts or FitOptions()
+    if r.n != family.n:
+        raise SizeError(f"table for n={r.n} but family for n={family.n}")
+    gens = generators(family)
+    labels = [array_atom_labels(board, family.n) for board in gens]
+    emp = [np.bincount(lab, weights=r.probs, minlength=k) for lab, k in labels]
+    p = np.full(len(r.probs), 1.0 / len(r.probs))
+
+    trace = []
+    gap = np.inf
+    cycles = 0
+    for cycle in range(opts.max_cycles):
+        for (lab, k), target in zip(labels, emp):
+            cur = np.bincount(lab, weights=p, minlength=k)
+            factor = np.divide(target, cur, out=np.zeros_like(cur), where=cur > 0)
+            p = p * factor[lab]
+        cycles = cycle + 1
+        gap = 0.0
+        for (lab, k), target in zip(labels, emp):
+            cur = np.bincount(lab, weights=p, minlength=k)
+            gap = max(gap, 0.5 * float(np.abs(cur - target).sum()))
+        trace.append(_r_loglik(r.probs, p))
+        if gap <= opts.marginal_tol:
+            break
+    fitted = DistributionTable(family.n, p)
+    return FitReport(
+        fitted=fitted,
+        family=family.kind,
+        n=family.n,
+        log_likelihood=trace[-1],
+        cycles_used=cycles,
+        converged=gap <= opts.marginal_tol,
+        max_marginal_gap=gap,
+        loglik_trace=trace,
+    )
+
+
+def alternating_fit(r: DistributionTable, max_cycles: int = 10000, likelihood_tol: float = 1e-9) -> FitReport:
+    """Alternate the explicit L and L' projection maps until the likelihood settles.
+
+    Agreement with IPFP on the bi-decomposable family is checked empirically
+    in the test suite, not assumed.
+    """
+    p = r
+    trace = []
+    converged = False
+    cycles = 0
+    for cycle in range(max_cycles):
+        p = explicit_L_mle(p).fitted
+        p = explicit_L_mle(p, primed=True).fitted
+        cycles = cycle + 1
+        ll = _r_loglik(r.probs, p.probs)
+        trace.append(ll)
+        if cycle > 0 and abs(trace[-1] - trace[-2]) <= likelihood_tol:
+            converged = True
+            break
+    return FitReport(
+        fitted=p,
+        family=FamilyKind.BI,
+        n=r.n,
+        log_likelihood=trace[-1],
+        cycles_used=cycles,
+        converged=converged,
+        max_marginal_gap=abs(trace[-1] - trace[-2]) if len(trace) > 1 else 0.0,
+        loglik_trace=trace,
+    )

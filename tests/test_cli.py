@@ -180,6 +180,8 @@ COUNTS2 = "n=2\n1 2,3\n2 1,1\n"
         ({"s.json": MBT4.replace("[0.4, 0.3, 0.2, 0.1]", "[[1], [2, 3]]")}, ["check", "--spec", "@s.json"]),
         ({"s.json": '{"kind": "multistage", "n": 3, "params": {"theta": 5}}'},
          ["check", "--spec", "@s.json"]),
+        ({"s.json": MBT4.replace('"n": 4', '"n": 4.7')}, ["check", "--spec", "@s.json"]),
+        ({"s.json": '{"kind": "mbt", "n": true, "params": {"alpha": [1.0]}}'}, ["check", "--spec", "@s.json"]),
         ({"s.json": MBT4}, ["sample", "--spec", "@s.json", "--m", "5", "--seed", "-1"]),
         ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "nan", "--json"]),
         ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "inf"]),
@@ -187,7 +189,7 @@ COUNTS2 = "n=2\n1 2,3\n2 1,1\n"
         ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "inf"]),
     ],
     ids=["not-json", "not-utf8", "not-an-object", "alpha-abc", "ragged-alpha", "theta-scalar",
-         "negative-seed", "check-tol-nan", "check-tol-inf", "fit-tol-nan", "fit-tol-inf"],
+         "n-float", "n-bool", "negative-seed", "check-tol-nan", "check-tol-inf", "fit-tol-nan", "fit-tol-inf"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, files, argv):
     for name, body in files.items():

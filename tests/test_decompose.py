@@ -24,7 +24,7 @@ from permll import (
     is_decomposable,
     markovianize,
 )
-from permll.errors import InvalidLambdaError, ValidationError
+from permll.errors import InvalidLambdaError, SizeError, ValidationError
 from permll.perms import SetPartition, enumerate_permutations
 
 
@@ -88,6 +88,13 @@ class TestLambda:
         bad[0b001 * 3 + 0] = 0.5  # lambda(1 | {1})
         with pytest.raises(ValidationError):
             LambdaDecomposition(3, bad)
+
+    def test_get_rejects_an_element_outside_the_board(self):
+        # key mask * n + x - 1 would read another edge's weight
+        lam = canonical_lambda(DistributionTable.uniform(4))
+        for x in (0, 5):
+            with pytest.raises(ValidationError):
+                lam.get(x, {1})
 
     def test_markovianize_idempotent(self):
         p = random_table(4, 3)
@@ -184,6 +191,10 @@ class TestConditionalIndependence:
             DistributionTable.uniform(4), SetPartition.parse("1,3|2,4", 4)
         )
         assert ok and viol < 1e-12
+
+    def test_block_independence_partition_must_match_n(self):
+        with pytest.raises(SizeError):
+            check_block_independence(DistributionTable.uniform(4), SetPartition.parse("1,3|2", 3))
 
 
 def bi_member(n, seed):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from permll import (
@@ -12,7 +13,6 @@ from permll import (
     FitOptions,
     GeneratorFamily,
     SearchSide,
-    alternating_fit,
     classic_distribution,
     compose,
     empirical,
@@ -30,6 +30,7 @@ from permll import (
     search_relabelling,
 )
 from permll.errors import SizeError, SupportMismatchError, ValidationError
+from permll.perms import relabel_index
 from permll.subspaces import generators, span_matrix
 
 
@@ -153,7 +154,7 @@ class TestExplicit:
 class TestAlternating:
     def test_agrees_with_ipfp_bi(self):
         r = empirical(random_counts(4, 6))
-        a = alternating_fit(r)
+        a = oracles.alternating_fit(r)
         b = ipfp_fit(GeneratorFamily(FamilyKind.BI, 4), r)
         assert abs(a.log_likelihood - b.log_likelihood) <= 1e-4
 
@@ -161,7 +162,7 @@ class TestAlternating:
         p = classic_distribution(
             ClassicSpec(ClassicKind.MBT, {"alpha": [0.4, 0.3, 0.2, 0.1]}), 4
         )
-        rep = alternating_fit(p)
+        rep = oracles.alternating_fit(p)
         assert np.abs(rep.fitted.probs - p.probs).max() < 1e-9
 
 
@@ -255,8 +256,10 @@ class TestRelabelling:
         assert rho == identity(4)
         assert sigma in right_invariance_group(4)
 
-    def test_scrambled_mbt_recovered_up_to_invariance(self):
-        # integer-weight mbt: counts proportional to the exact distribution
+    def test_exact_ties_go_to_the_identity(self):
+        # integer-weight mbt: counts proportional to the exact distribution.
+        # MBT lies in QI, which every relabelling preserves, so all 576 pairs
+        # fit BI exactly and the smallest pair, the identity on both sides, wins.
         perms = enumerate_permutations(4)
         alpha = [4, 3, 2, 1]
         counts = np.array(
@@ -276,13 +279,41 @@ class TestRelabelling:
         sdata = EmpiricalData(4, scrambled)
         family = GeneratorFamily(FamilyKind.BI, 4)
         sigma, rho, rep = search_relabelling(sdata, family, SearchSide.BOTH)
+        assert sigma == identity(4) and rho == identity(4)
+        base = fit_family(family, data)
+        assert rep.log_likelihood == pytest.approx(base.log_likelihood, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scrambled_bi_member_recovered_up_to_invariance(self, seed):
+        # a generic BI member: the BI projection of a Dirichlet table
+        family = GeneratorFamily(FamilyKind.BI, 4)
+        rng = np.random.default_rng(seed)
+        p = ipfp_fit(family, DistributionTable(4, rng.dirichlet(np.ones(24)))).fitted
+        counts = np.rint(p.probs * 1e6).astype(np.int64)
+        sigma0, rho0 = (3, 1, 4, 2), (2, 4, 1, 3)
+        sdata = EmpiricalData(4, counts[relabel_index(4, sigma0, rho0)])
+        sigma, rho, rep = search_relabelling(sdata, family, SearchSide.BOTH)
         # undoing the found relabelling must land in the invariance orbit:
         # the doubly relabelled counts come from relabelling by (sigma sigma0, rho rho0)
         group = set(right_invariance_group(4))
         assert compose(sigma, sigma0) in group
         assert compose(rho, rho0) in group
-        base = fit_family(family, data)
+        base = fit_family(family, EmpiricalData(4, counts))
         assert rep.log_likelihood == pytest.approx(base.log_likelihood, abs=1e-6)
+
+    def test_a_side_the_family_ignores_stays_the_identity(self):
+        # QI ignores sigma and L_S ignores rho: every relabelling of that side
+        # fits equally well up to rounding, so the tie rule keeps the identity
+        rng = np.random.default_rng(0)
+        theta = rng.uniform(0.5, 2.0, (5, 5))
+        for _ in range(500):
+            theta /= theta.sum(axis=1, keepdims=True)
+            theta /= theta.sum(axis=0, keepdims=True)
+        spec = ClassicSpec(ClassicKind.QUASI_INDEPENDENCE, {"theta": theta.tolist()})
+        data = sample(classic_distribution(spec, 5), 1000, 0)
+        qi, ls = GeneratorFamily(FamilyKind.QUASI_INDEPENDENCE, 5), GeneratorFamily(FamilyKind.L_S, 5)
+        assert search_relabelling(data, qi, SearchSide.RIGHT)[0] == identity(5)
+        assert search_relabelling(data, ls, SearchSide.LEFT)[1] == identity(5)
 
     def test_size_caps(self):
         counts = np.full(math.factorial(7), 1, dtype=np.int64)

@@ -19,7 +19,7 @@ from permll import (
 )
 from permll.errors import SizeError, ValidationError
 from oracles import marginal, unordered_marginal
-from permll.perms import check_permutation
+from permll.perms import check_permutation, edge_keys, lattice_levels
 
 
 def random_perm(draw_n, seed):
@@ -65,6 +65,21 @@ class TestPermBasics:
         tau = compose(pi, sigma)
         for i in range(1, n + 1):
             assert tau[i - 1] == pi[sigma[i - 1] - 1]
+
+    def test_lattice_levels_list_every_edge_by_level(self):
+        for n in range(1, 10):
+            key, source, target, bounds = lattice_levels(n)
+            assert len(key) == n << (n - 1) and bounds[0] == 0 and bounds[-1] == len(key)
+            assert (np.diff(bounds) == [math.comb(n, k) * (n - k) for k in range(n)]).all()
+            assert (key // n == source).all() and (target == source | 1 << key % n).all()
+            assert (source & 1 << key % n == 0).all()
+            for k in range(n):
+                level = slice(bounds[k], bounds[k + 1])
+                assert [bin(s).count("1") for s in source[level]] == [k] * (bounds[k + 1] - bounds[k])
+                assert (np.diff(key[level]) > 0).all()
+            if n <= 7:
+                # every step of every permutation is one of the listed edges
+                assert set(key.tolist()) == set(edge_keys(n).ravel().tolist())
 
 
 class TestPartitions:
