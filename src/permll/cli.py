@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write a counts file here instead of stdout")
     p.set_defaults(func=_cmd_sample)
 
-    p = subs.add_parser("search-labels", help="exhaustive relabelling search")
+    p = subs.add_parser("search-labels", help="best relabelling of positions (right) and values (left)")
     p.add_argument("--family", required=True)
     p.add_argument("--side", choices=["left", "right", "both"], default="both")
     _add_common(p, data=True)

@@ -26,10 +26,12 @@ from .perms import (
     check_size,
     compose,
     edge_keys,
-    enumerate_permutations,
     identity,
+    inverse,
+    inverse_index,
     lattice_levels,
     perm_array,
+    prefix_members,
     rank,
     relabel_index,
 )
@@ -287,6 +289,14 @@ def explicit_L_mle(r: DistributionTable, primed: bool = False) -> FitReport:
     )
 
 
+def _counts_loglik(counts: np.ndarray, probs: np.ndarray) -> float:
+    """Log-likelihood sum(counts * log p) over the observed permutations."""
+    obs_mask = counts > 0
+    if (probs[obs_mask] <= 0.0).any():
+        raise SupportMismatchError("fitted probability zero on an observed permutation")
+    return float(np.dot(counts[obs_mask], np.log(probs[obs_mask])))
+
+
 def gof_report(
     fitted: DistributionTable, data: EmpiricalData, family: GeneratorFamily, base: FitReport | None = None
 ) -> FitReport:
@@ -296,10 +306,7 @@ def gof_report(
     counts = data.counts
     m = data.m
     probs = fitted.probs
-    if ((counts > 0) & (probs <= 0.0)).any():
-        raise SupportMismatchError("fitted probability zero on an observed permutation")
-    obs_mask = counts > 0
-    loglik = float(np.dot(counts[obs_mask], np.log(probs[obs_mask])))
+    loglik = _counts_loglik(counts, probs)
     expected = m * probs
     cell_mask = probs > 0.0
     gof = float(((counts[cell_mask] - expected[cell_mask]) ** 2 / expected[cell_mask]).sum())
@@ -333,21 +340,31 @@ def fit_family(family: GeneratorFamily, data: EmpiricalData, opts: FitOptions | 
     return gof_report(base.fitted, data, family, base)
 
 
+def _fit_loglik(family: GeneratorFamily, counts: np.ndarray, opts: FitOptions) -> float:
+    """The log-likelihood that fit_family reports for an IPFP family, without
+    the rest of its report."""
+    data = EmpiricalData(family.n, counts)
+    return _counts_loglik(counts, ipfp_fit(family, empirical(data), opts).fitted.probs)
+
+
 class SearchSide(Enum):
     LEFT = "left"
     RIGHT = "right"
     BOTH = "both"
 
 
+def _invariance_generators(n: int) -> tuple[Perm, Perm]:
+    """Reversal and the swap of 1 and 2, which generate right_invariance_group(n)."""
+    return tuple(range(n, 0, -1)), ((2, 1) + tuple(range(3, n + 1)) if n >= 2 else (1,))
+
+
 def right_invariance_group(n: int) -> list[Perm]:
     """Closure of {reversal, swap of 1 and 2} under composition (eight elements for n >= 4)."""
-    rev = tuple(range(n, 0, -1))
-    swap = (2, 1) + tuple(range(3, n + 1)) if n >= 2 else (1,)
     group = {identity(n)}
     frontier = [identity(n)]
     while frontier:
         g = frontier.pop()
-        for h in (rev, swap):
+        for h in _invariance_generators(n):
             new = compose(g, h)
             if new not in group:
                 group.add(new)
@@ -355,13 +372,84 @@ def right_invariance_group(n: int) -> list[Perm]:
     return sorted(group)
 
 
-def _orbit_representatives(n: int) -> list[Perm]:
-    """The first sigma, in lexicographic order, of each orbit {g sigma : g in
-    right_invariance_group(n)}."""
-    images = perm_array(n) - 1
-    first = np.min([rank(np.asarray(g)[images]) for g in right_invariance_group(n)], axis=0)
-    perms = enumerate_permutations(n)
-    return [perms[i] for i in np.flatnonzero(first == np.arange(len(perms)))]
+@lru_cache(maxsize=None)
+def _orbit_representatives(n: int) -> np.ndarray:
+    """Read-only indices, ascending, of the first sigma in lexicographic order
+    of each orbit {g sigma : g in right_invariance_group(n)}."""
+    # moves[i][t] is the index of g_i t; spread the smallest index of each
+    # orbit along the moves until nothing changes
+    moves = [relabel_index(n, identity(n), inverse(g)) for g in _invariance_generators(n)]
+    first = np.arange(math.factorial(n))
+    while True:
+        low = np.minimum.reduce([first] + [first[move] for move in moves])
+        if (low == first).all():
+            break
+        first = low
+    reps = np.flatnonzero(first == np.arange(len(first)))
+    reps.setflags(write=False)
+    return reps
+
+
+def _nlogn(counts: np.ndarray) -> np.ndarray:
+    """N log N elementwise, 0 where N = 0."""
+    return counts * np.log(counts, out=np.zeros_like(counts), where=counts > 0)
+
+
+def _chain_edge_logliks(counts: np.ndarray, n: int) -> np.ndarray:
+    """The L log-likelihood, edge by edge, of every order of visiting the positions.
+
+    For a set P of positions and a position j outside it, the weight at key
+    mask(P) * n + j - 1 (as in edge_keys) is the sum of N log N over the
+    pairs (images on P, image at j) minus that over the image sets on P, N
+    counting the observations.  Relabelling positions by sigma makes the L
+    chain visit them in the order v = sigma^-1, so the closed-form L fit of
+    the relabelled counts has log-likelihood W[edge_keys(n)[v]].sum().
+    """
+    seen = np.flatnonzero(counts)
+    c = counts[seen].astype(np.float64)
+    images = perm_array(n)[seen].T.astype(np.int64) - 1  # one row per position
+    bits = np.left_shift(1, images)
+    members = prefix_members(n)
+    weights = np.zeros(n << n)
+    for mask in range(1 << n):
+        outside = np.flatnonzero(~members[mask])
+        if not len(outside):
+            continue
+        sets = bits[members[mask]].sum(axis=0)
+        pairs = (sets * n + images[outside] + np.arange(len(outside))[:, None] * (n << n)).ravel()
+        joint = np.bincount(pairs, np.tile(c, len(outside)), minlength=len(outside) * (n << n))
+        a = _nlogn(joint).reshape(len(outside), -1).sum(axis=1)
+        weights[mask * n + outside] = a - _nlogn(np.bincount(sets, c)).sum()
+    return weights
+
+
+def _fit_loglik(family: GeneratorFamily, counts: np.ndarray, opts: FitOptions) -> float:
+    """The log-likelihood that fit_family reports for an IPFP family, without
+    the rest of its report."""
+    data = EmpiricalData(family.n, counts)
+    return _counts_loglik(counts, ipfp_fit(family, empirical(data), opts).fitted.probs)
+
+
+class SearchSide(Enum):
+    LEFT = "left"
+    RIGHT = "right"
+    BOTH = "both"
+
+
+# Sides of the relabelling whose every choice leaves the family's fit
+# unchanged: RIGHT is sigma, which moves positions, and LEFT is rho, which
+# moves values.  On each side a family does not ignore, relabelling by
+# (g sigma, h rho), g and h in right_invariance_group, leaves the fit
+# unchanged too.  tests/test_fit.py checks both claims by brute force.
+_IGNORED_SIDES = {
+    FamilyKind.L: {SearchSide.LEFT},
+    FamilyKind.L_S: {SearchSide.LEFT},
+    FamilyKind.L_PRIME: {SearchSide.RIGHT},
+    FamilyKind.L_S_PRIME: {SearchSide.RIGHT},
+    FamilyKind.QUASI_INDEPENDENCE: {SearchSide.LEFT, SearchSide.RIGHT},
+    FamilyKind.SATURATED: {SearchSide.LEFT, SearchSide.RIGHT},
+    FamilyKind.UNIFORM: {SearchSide.LEFT, SearchSide.RIGHT},
+}
 
 
 def search_relabelling(
@@ -370,41 +458,49 @@ def search_relabelling(
     side: SearchSide = SearchSide.BOTH,
     opts: FitOptions | None = None,
 ) -> tuple[Perm, Perm, FitReport]:
-    """Exhaustive search for the relabelling (sigma, rho) maximizing the fitted
-    log-likelihood; ties go to the lexicographically smallest pair.  A pair
-    within marginal_tol * max(1, |best|) of the best so far ties with it, so
-    rounding noise in the fits never picks the winner."""
+    """The relabelling (sigma, rho) maximizing the fitted log-likelihood; ties
+    go to the lexicographically smallest pair.  A pair within
+    marginal_tol * max(1, |best|) of the best so far ties with it, so rounding
+    noise in the fits never picks the winner.
+
+    The result is that of fitting every pair, with three shortcuts.  A side
+    the family ignores keeps the identity.  A searched side tries only the
+    first member of each orbit under right_invariance_group, which the family
+    also ignores.  L and L' need no fits: one chain weight per edge of the
+    lattice of position sets (of the inverse, for L') gives the
+    log-likelihood of every relabelling as a sum over its path.  Only the
+    winner gets a full fit_family report.
+    """
     opts = opts or FitOptions()
     n = data.n
-    if side is SearchSide.BOTH and n > 6:
+    kind = family.kind
+    ignored = _IGNORED_SIDES.get(kind, set())
+    asked = (SearchSide.RIGHT, SearchSide.LEFT) if side is SearchSide.BOTH else (side,)
+    searched = [s for s in asked if s not in ignored]
+    closed_form = kind in (FamilyKind.L, FamilyKind.L_PRIME)
+    if len(searched) == 2 and n > 6:
         raise SizeError("two-sided search capped at n=6")
-    if side is not SearchSide.BOTH and n > 7:
+    if len(searched) == 1 and n > 7 and not closed_form:
         raise SizeError("single-sided search capped at n=7")
-    perms = enumerate_permutations(n)
-    ident = identity(n)
-
-    sigmas: list[Perm]
-    rhos: list[Perm]
-    if family.kind is FamilyKind.L:
-        # left multiplications never change the L fit; dedupe sigma modulo the
-        # eight-element right-multiplication invariance group
-        rhos = [ident]
-        if side is SearchSide.LEFT:
-            sigmas = [ident]
-        else:
-            sigmas = _orbit_representatives(n)
+    fixed = [identity(n)]
+    reps = _orbit_representatives(n) if searched else []
+    candidates = [tuple(pi) for pi in perm_array(n)[reps].tolist()]
+    sigmas = candidates if SearchSide.RIGHT in searched else fixed
+    rhos = candidates if SearchSide.LEFT in searched else fixed
+    pairs = [(sigma, rho) for sigma in sigmas for rho in rhos]
+    if not searched:
+        keys = [0.0]
+    elif closed_form:
+        counts = data.counts if kind is FamilyKind.L else data.counts[inverse_index(n)]
+        weights = _chain_edge_logliks(counts, n)
+        keys = weights[edge_keys(n)[inverse_index(n)[reps]]].sum(axis=1).tolist()
     else:
-        sigmas = list(perms) if side in (SearchSide.RIGHT, SearchSide.BOTH) else [ident]
-        rhos = list(perms) if side in (SearchSide.LEFT, SearchSide.BOTH) else [ident]
-
+        keys = (_fit_loglik(family, data.counts[relabel_index(n, *pair)], opts) for pair in pairs)
     best = None
-    for sigma in sigmas:
-        for rho in rhos:
-            relabelled = EmpiricalData(n, data.counts[relabel_index(n, sigma, rho)])
-            report = fit_family(family, relabelled, opts)
-            key = report.log_likelihood
-            if best is None or key > best[0] + opts.marginal_tol * max(1.0, abs(best[0])):
-                best = (key, sigma, rho, report)
-    _, sigma, rho, report = best
+    for key, pair in zip(keys, pairs):
+        if best is None or key > best[0] + opts.marginal_tol * max(1.0, abs(best[0])):
+            best = (key, pair)
+    sigma, rho = best[1]
+    report = fit_family(family, EmpiricalData(n, data.counts[relabel_index(n, sigma, rho)]), opts)
     report.relabelling = (sigma, rho)
     return sigma, rho, report

@@ -6,14 +6,16 @@ conditional-independence relations that now run on edge arrays and integer
 keys in ``permll.decompose`` and ``permll.classic``.  ``ipfp_fit`` is the
 IPFP that rescales all n! cells, which ``permll.fit`` now runs on the edges
 of the prefix-set lattice; ``alternating_fit`` alternates the explicit L and
-L' maps, a cross-check of the BI fit.  The differential tests
-in ``test_oracles.py`` compare the two.  Nothing in ``permll`` imports this
-file.
+L' maps, a cross-check of the BI fit; ``exhaustive_search`` fits every
+relabelling that ``permll.fit.search_relabelling`` skips, prunes or scores
+in closed form.  The differential tests in ``test_oracles.py`` compare the
+two.  Nothing in ``permll`` imports this file.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from collections import defaultdict
 from functools import lru_cache
 
@@ -22,7 +24,7 @@ import numpy as np
 from permll import decompose
 from permll.decompose import LambdaDecomposition
 from permll.errors import InvalidLambdaError, SizeError
-from permll.fit import EmpiricalData, FitOptions, FitReport, _r_loglik, explicit_L_mle
+from permll.fit import EmpiricalData, FitOptions, FitReport, SearchSide, _r_loglik, explicit_L_mle, fit_family
 from permll.perms import (
     ConsecutiveSections,
     DistributionTable,
@@ -109,6 +111,47 @@ def relabelled_counts(data: EmpiricalData, sigma: Perm, rho: Perm) -> EmpiricalD
     for t, tau in enumerate(perms):
         out[t] = data.counts[perm_index(compose(compose(inv_rho, tau), sigma))]
     return EmpiricalData(data.n, out)
+
+
+def relabelled_logliks(
+    data: EmpiricalData, family: GeneratorFamily, side: SearchSide, opts: FitOptions | None = None
+) -> dict[tuple[Perm, Perm], float]:
+    """fit_family's log-likelihood of every pair (sigma, rho) that a search on
+    side may return, in lexicographic order: all n! permutations on each
+    searched side, the identity on the other."""
+    n = data.n
+    perms = enumerate_permutations(n)
+    fixed = [tuple(range(1, n + 1))]
+    sigmas = perms if side in (SearchSide.RIGHT, SearchSide.BOTH) else fixed
+    rhos = perms if side in (SearchSide.LEFT, SearchSide.BOTH) else fixed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return {
+            (sigma, rho): fit_family(family, relabelled_counts(data, sigma, rho), opts).log_likelihood
+            for sigma in sigmas
+            for rho in rhos
+        }
+
+
+def exhaustive_search(
+    data: EmpiricalData,
+    family: GeneratorFamily,
+    side: SearchSide,
+    opts: FitOptions | None = None,
+    logliks: dict | None = None,
+) -> tuple[Perm, Perm, FitReport]:
+    """The relabelling search without shortcuts: fit every pair and keep the
+    first that beats the best so far by marginal_tol * max(1, |best|).
+    logliks, if given, is relabelled_logliks of the same arguments."""
+    opts = opts or FitOptions()
+    best = None
+    for pair, key in (logliks or relabelled_logliks(data, family, side, opts)).items():
+        if best is None or key > best[0] + opts.marginal_tol * max(1.0, abs(best[0])):
+            best = (key, pair)
+    sigma, rho = best[1]
+    report = fit_family(family, relabelled_counts(data, sigma, rho), opts)
+    report.relabelling = (sigma, rho)
+    return sigma, rho, report
 
 
 def l_search_sigmas(n: int, group: list[Perm]) -> list[Perm]:

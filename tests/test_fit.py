@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import oracles
@@ -30,6 +31,7 @@ from permll import (
     search_relabelling,
 )
 from permll.errors import SizeError, SupportMismatchError, ValidationError
+from permll.fit import _IGNORED_SIDES
 from permll.perms import relabel_index
 from permll.subspaces import generators, span_matrix
 
@@ -283,6 +285,35 @@ class TestRelabelling:
         base = fit_family(family, data)
         assert rep.log_likelihood == pytest.approx(base.log_likelihood, abs=1e-6)
 
+    def test_large_counts_tie_relative_to_the_log_likelihood(self):
+        # a scrambled integer-weight MBT at n = 5 lies in QI, inside L and L',
+        # so every sigma (and rho) fits exactly.  With m = 8.5e6 the summed
+        # edge weights of the 15 candidates differ by rounding of about
+        # 1e-7, above an absolute 1e-9 but far below 1e-9 * |log-likelihood|.
+        perms = enumerate_permutations(5)
+        alpha = [5, 4, 3, 2, 1]
+        counts = np.array(
+            [int(np.prod([alpha[x - 1] ** (4 - pos) for pos, x in enumerate(pi)])) for pi in perms],
+            dtype=np.int64,
+        )
+        data = EmpiricalData(5, counts[relabel_index(5, (3, 1, 4, 5, 2), (2, 4, 1, 5, 3))])
+        for kind in (FamilyKind.L, FamilyKind.L_PRIME):
+            sigma, rho, _ = search_relabelling(data, GeneratorFamily(kind, 5), SearchSide.BOTH)
+            assert sigma == rho == identity(5), kind
+
+    def test_two_sided_ties_go_to_the_smaller_sigma(self):
+        # data equal to their inverse fit BI equally under (sigma, rho) and
+        # (rho, sigma); this sample's best pair has sigma != rho
+        rng = np.random.default_rng(0)
+        counts = rng.multinomial(2000, rng.dirichlet(np.ones(24)))
+        inverted = [perm_index(inverse(pi)) for pi in enumerate_permutations(4)]
+        data = EmpiricalData(4, counts + counts[inverted])
+        family = GeneratorFamily(FamilyKind.BI, 4)
+        sigma, rho, rep = search_relabelling(data, family, SearchSide.BOTH)
+        assert sigma < rho
+        mirrored = EmpiricalData(4, data.counts[relabel_index(4, rho, sigma)])
+        assert fit_family(family, mirrored).log_likelihood == pytest.approx(rep.log_likelihood, rel=1e-12)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_scrambled_bi_member_recovered_up_to_invariance(self, seed):
         # a generic BI member: the BI projection of a Dirichlet table
@@ -319,4 +350,74 @@ class TestRelabelling:
         counts = np.full(math.factorial(7), 1, dtype=np.int64)
         data = EmpiricalData(7, counts)
         with pytest.raises(SizeError):
-            search_relabelling(data, GeneratorFamily(FamilyKind.L, 7), SearchSide.BOTH)
+            search_relabelling(data, GeneratorFamily(FamilyKind.BI, 7), SearchSide.BOTH)
+        data = EmpiricalData(8, np.full(math.factorial(8), 1, dtype=np.int64))
+        with pytest.raises(SizeError):
+            search_relabelling(data, GeneratorFamily(FamilyKind.BI_S, 8), SearchSide.RIGHT)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_searches_past_the_fit_caps_at_n8(self):
+        # L and L' search without fits; a side the family ignores is no search
+        data = random_counts(8, 10, m=3000)
+        ident = identity(8)
+        for kind, side in (
+            (FamilyKind.L, SearchSide.BOTH),
+            (FamilyKind.L_PRIME, SearchSide.BOTH),
+            (FamilyKind.L_S, SearchSide.LEFT),
+            (FamilyKind.QUASI_INDEPENDENCE, SearchSide.BOTH),
+        ):
+            family = GeneratorFamily(kind, 8)
+            sigma, rho, rep = search_relabelling(data, family, side)
+            assert (sigma == ident) == (kind is not FamilyKind.L)
+            assert (rho == ident) == (kind is not FamilyKind.L_PRIME)
+            relabelled = EmpiricalData(8, data.counts[relabel_index(8, sigma, rho)])
+            base = fit_family(family, data)
+            assert rep.log_likelihood == fit_family(family, relabelled).log_likelihood
+            assert rep.log_likelihood >= base.log_likelihood - 1e-9 * abs(base.log_likelihood)
+
+    def test_warnings_come_from_the_winner_only(self):
+        # sparse counts: most candidates' fits have cells with expected count below 5
+        data = random_counts(5, 11, m=300)
+        for kind in (FamilyKind.L, FamilyKind.BI):
+            family = GeneratorFamily(kind, 5)
+            with warnings.catch_warnings(record=True) as searched:
+                warnings.simplefilter("always")
+                sigma, rho, _ = search_relabelling(data, family, SearchSide.RIGHT)
+            with warnings.catch_warnings(record=True) as winner:
+                warnings.simplefilter("always")
+                fit_family(family, EmpiricalData(5, data.counts[relabel_index(5, sigma, rho)]))
+            assert 1 <= len(searched) <= len(winner)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zero-cells"])
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda kind: kind.value)
+    def test_invariances_by_brute_force(self, kind, zeros):
+        # Every relabelling of a side the family ignores, and every member of
+        # a right_invariance_group orbit on a side it searches, fits equally
+        # well; a one-sided search picks what fitting all 120 relabellings picks.
+        rng = np.random.default_rng(5)
+        counts = rng.multinomial(100_000, rng.dirichlet(np.ones(120)))
+        if zeros:
+            # a third of the cells empty, the MLE of every family inside its
+            # support, so that every fit converges
+            counts[rng.permutation(120)[:40]] = 0
+        data = EmpiricalData(5, counts)
+        family = GeneratorFamily(kind, 5)
+        group = right_invariance_group(5)
+        for side in (SearchSide.RIGHT, SearchSide.LEFT):
+            logliks = oracles.relabelled_logliks(data, family, side)
+            moved = 0 if side is SearchSide.RIGHT else 1
+            tol = 1e-9 * max(1.0, max(abs(v) for v in logliks.values()))
+            if side in _IGNORED_SIDES.get(kind, ()):
+                orbits = [list(logliks.values())]
+            else:
+                orbits = []
+                for pair in logliks:
+                    orbit = [list(pair) for _ in group]
+                    for g, member in zip(group, orbit):
+                        member[moved] = compose(g, pair[moved])
+                    orbits.append([logliks[tuple(member)] for member in orbit])
+            assert max(max(o) - min(o) for o in orbits) <= tol, side
+            sigma, rho, rep = search_relabelling(data, family, side)
+            want = oracles.exhaustive_search(data, family, side, logliks=logliks)
+            assert (sigma, rho, rep.log_likelihood) == (want[0], want[1], want[2].log_likelihood), side
