@@ -12,6 +12,7 @@ from .classic import classic_distribution, sample, spec_from_json
 from .decompose import DEFAULT_TOL, decomposability_report, inverse_distribution
 from .errors import InternalCheckError, ParseError, PermllError, ValidationError
 from .fit import (
+    INT64_MAX,
     EmpiricalData,
     FitOptions,
     SearchSide,
@@ -20,7 +21,7 @@ from .fit import (
     gof_report,
     search_relabelling,
 )
-from .perms import DistributionTable, check_permutation, inverse_index, perm_array
+from .perms import DEFAULT_MAX_N, DistributionTable, check_permutation, inverse_index, perm_array
 from .subspaces import (
     BasisKind,
     GeneratorFamily,
@@ -33,9 +34,63 @@ from .subspaces import (
 
 
 def parse_counts(path: str) -> EmpiricalData:
-    """Read a counts file: header "n=<int>", then lines "i1 ... iN,count"."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a counts file: header "n=<int>", then lines "i1 ... iN,count".
+
+    A file in plain form is parsed as one array.  Any other file, and any file
+    that fails a check, is read one line at a time, so that an error names the
+    first offending line as "file:line: ...".
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a UTF-8 counts file: {exc}") from None
+    records = _plain_records(text)
+    if records is None or (records[1][:, -1] < 1).any():
+        records = _line_records(path, text)
+    n, rows = records
+    try:
+        return EmpiricalData.from_records(n, rows[:, :-1], rows[:, -1])
+    except ValidationError as exc:  # a row that is not a permutation, or the total
+        _line_records(path, text)  # raises for the first bad row, naming its line
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _plain_records(text: str) -> tuple[int, np.ndarray] | None:
+    """Board size and (records, n + 1) int64 rows of a counts file in plain form, else None.
+
+    Plain form is what ``write_counts`` writes: "n=<digits>" with 1 <= n <= DEFAULT_MAX_N,
+    then lines of n numbers separated by single spaces, a comma and the count, each
+    number ASCII digits only and at most 18 of them, so that it fits in int64.  An empty
+    number reads as 0, which is no image and no count.  Nothing is rejected here; the
+    caller sends any other text to ``_line_records``.
+    """
+    head, _, body = text.partition("\n")
+    if not (head.startswith("n=") and head[2:].isascii() and head[2:].isdigit()):
+        return None
+    n = int(head[2:])
+    if not 1 <= n <= DEFAULT_MAX_N or not body:
+        return None
+    b = np.frombuffer((body if body.endswith("\n") else body + "\n").encode(), dtype=np.uint8)
+    seps = np.flatnonzero(b < ord("0"))  # space, comma and newline sort below the digits
+    if len(seps) % (n + 1) or (b > ord("9")).any():
+        return None
+    if (b[seps].reshape(-1, n + 1) != np.frombuffer(b" " * (n - 1) + b",\n", np.uint8)).any():
+        return None
+    lengths = np.diff(seps, prepend=-1) - 1
+    if lengths.max() > 18:
+        return None
+    values = np.zeros(len(seps), dtype=np.int64)
+    for k in range(lengths.max()):  # the k-th digit from the right of every number at once
+        has = lengths > k
+        values[has] += (b[seps[has] - 1 - k] - ord("0")).astype(np.int64) * 10**k
+    return n, values.reshape(-1, n + 1)
+
+
+def _line_records(path: str, text: str) -> tuple[int, np.ndarray]:
+    """Board size and (records, n + 1) rows of any counts file, read one line at a time;
+    raises the error of the first line that is not a valid record."""
+    lines = text.splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].strip()
@@ -45,7 +100,7 @@ def parse_counts(path: str) -> EmpiricalData:
         n = int(header[2:])
     except ValueError:
         raise ParseError(f"{path}:1: bad board size in {header!r}") from None
-    merged: dict[tuple, int] = {}
+    rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -62,14 +117,16 @@ def parse_counts(path: str) -> EmpiricalData:
             raise ParseError(f"{path}:{lineno}: expected {n} images, got {len(images)}")
         if count <= 0:
             raise ParseError(f"{path}:{lineno}: count must be positive")
+        if count > INT64_MAX:
+            raise ParseError(f"{path}:{lineno}: count too large")
         try:
-            pi = check_permutation(images)
+            check_permutation(images)
         except PermllError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        merged[pi] = merged.get(pi, 0) + count
-    if not merged:
+        rows.append(images + (count,))
+    if not rows:
         raise ParseError(f"{path}: no observation records")
-    return EmpiricalData.from_dict(n, merged)
+    return n, np.array(rows, dtype=np.int64).reshape(-1, n + 1)
 
 
 def _count_lines(data: EmpiricalData) -> list[str]:

@@ -22,7 +22,6 @@ from .perms import (
     DistributionTable,
     Perm,
     ProductPartition,
-    check_permutation,
     check_size,
     compose,
     edge_keys,
@@ -46,6 +45,9 @@ from .subspaces import (
 )
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass
 class EmpiricalData:
     """Observed permutation counts on S_n."""
@@ -66,11 +68,30 @@ class EmpiricalData:
     @classmethod
     def from_dict(cls, n: int, counts: dict) -> "EmpiricalData":
         check_size(n)
-        images = [check_permutation(pi) for pi in counts]
-        if any(len(pi) != n for pi in images):
+        if any(len(pi) != n for pi in counts):
             raise SizeError(f"counts keys must be permutations of 1..{n}")
+        return cls.from_records(n, np.reshape(list(counts), (-1, n)), list(counts.values()))
+
+    @classmethod
+    def from_records(cls, n: int, images, counts) -> "EmpiricalData":
+        """Merge observation records: row i of the (records, n) 1-based images, seen counts[i] times.
+
+        Raises ValidationError for the first row that is not a permutation of 1..n, for a
+        negative count, and for a total count beyond int64.
+        """
+        check_size(n)
+        images = np.asarray(images, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        bad = (np.sort(images, axis=1) != np.arange(1, n + 1)).any(axis=1)
+        if bad.any():
+            pi = tuple(images[bad.argmax()].tolist())
+            raise ValidationError(f"{pi} is not a permutation of 1..{n}")
+        if (counts < 0).any():
+            raise ValidationError("counts must be non-negative")
+        if sum(counts.tolist()) > INT64_MAX:
+            raise ValidationError("total count too large")
         arr = np.zeros(math.factorial(n), dtype=np.int64)
-        np.add.at(arr, rank(np.reshape(images, (-1, n))), [int(c) for c in counts.values()])
+        np.add.at(arr, rank(images), counts)
         return cls(n, arr)
 
     @property

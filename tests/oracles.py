@@ -8,8 +8,11 @@ IPFP that rescales all n! cells, which ``permll.fit`` now runs on the edges
 of the prefix-set lattice; ``alternating_fit`` alternates the explicit L and
 L' maps, a cross-check of the BI fit; ``exhaustive_search`` fits every
 relabelling that ``permll.fit.search_relabelling`` skips, prunes or scores
-in closed form.  The differential tests in ``test_oracles.py`` compare the
-two.  Nothing in ``permll`` imports this file.
+in closed form.  ``parse_counts`` reads a counts file one Python ``int`` and one
+``check_permutation`` per token, the reference for ``permll.cli.parse_counts``,
+which parses the whole file as one array.  The differential tests in
+``test_oracles.py`` and ``test_cli.py`` compare the two.  Nothing in ``permll``
+imports this file.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from permll import decompose
 from permll.decompose import LambdaDecomposition
-from permll.errors import InvalidLambdaError, SizeError
+from permll.errors import InvalidLambdaError, ParseError, PermllError, SizeError, ValidationError
 from permll.fit import EmpiricalData, FitOptions, FitReport, SearchSide, _r_loglik, explicit_L_mle, fit_family
 from permll.perms import (
     ConsecutiveSections,
@@ -473,3 +476,43 @@ def alternating_fit(r: DistributionTable, max_cycles: int = 10000, likelihood_to
         max_marginal_gap=abs(trace[-1] - trace[-2]) if len(trace) > 1 else 0.0,
         loglik_trace=trace,
     )
+
+
+def parse_counts(path: str) -> EmpiricalData:
+    """Read a counts file: header "n=<int>", then lines "i1 ... iN,count"."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = lines[0].strip()
+    if not header.startswith("n="):
+        raise ParseError(f"{path}:1: expected header 'n=<int>', got {header!r}")
+    try:
+        n = int(header[2:])
+    except ValueError:
+        raise ParseError(f"{path}:1: bad board size in {header!r}") from None
+    merged: dict[tuple, int] = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        if "," not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'i1 ... i{n},count'")
+        images_part, _, count_part = line.rpartition(",")
+        try:
+            images = tuple(int(t) for t in images_part.split())
+            count = int(count_part)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer field") from None
+        if len(images) != n:
+            raise ParseError(f"{path}:{lineno}: expected {n} images, got {len(images)}")
+        if count <= 0:
+            raise ParseError(f"{path}:{lineno}: count must be positive")
+        try:
+            pi = check_permutation(images)
+        except PermllError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        merged[pi] = merged.get(pi, 0) + count
+    if not merged:
+        raise ParseError(f"{path}: no observation records")
+    return EmpiricalData.from_dict(n, merged)

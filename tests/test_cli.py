@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import re
 
 import jsonschema
 import numpy as np
+import oracles
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from permll import EmpiricalData
-from permll.cli import main, parse_counts, write_counts
-from permll.errors import ParseError, ValidationError
+from permll.cli import _plain_records, main, parse_counts, write_counts
+from permll.errors import ParseError, PermllError, ValidationError
+from permll.fit import INT64_MAX
 
 SCHEMA_PATH = "src/permll/schemas/report.schema.json"
 
@@ -69,6 +75,16 @@ class TestCountsFile:
         path.write_text("m=2\n1 2,3\n")
         with pytest.raises(ParseError, match=":1"):
             parse_counts(str(path))
+
+    def test_counts_beyond_int64(self, tmp_path):
+        path = tmp_path / "a.counts"
+        path.write_text("n=2\n2 1,1\n1 2,99999999999999999999\n")
+        with pytest.raises(ParseError, match=r"a\.counts:3: count too large$"):
+            parse_counts(str(path))
+        for body in (f"1 2,{2**62}\n1 2,{2**62}\n", f"1 2,{2**62 + 2**61}\n2 1,{2**62 + 2**61}\n"):
+            path.write_text("n=2\n" + body)
+            with pytest.raises(ValidationError, match=r"a\.counts: total count too large$"):
+                parse_counts(str(path))
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -187,9 +203,15 @@ COUNTS2 = "n=2\n1 2,3\n2 1,1\n"
         ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "inf"]),
         ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "nan"]),
         ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "inf"]),
+        ({"a.counts": "n=2\n1 2,99999999999999999999\n"}, ["fit", "--family", "l", "--data", "@a.counts"]),
+        ({"a.counts": f"n=2\n1 2,{2**62 + 2**61}\n2 1,{2**62 + 2**61}\n"},
+         ["fit", "--family", "l", "--data", "@a.counts"]),
+        ({"a.counts": f"n=2\n1 2,{2**62}\n1 2,{2**62}\n"}, ["fit", "--family", "l", "--data", "@a.counts"]),
+        ({"a.counts": b"\xff\xfen=2\n1 2,3\n"}, ["fit", "--family", "l", "--data", "@a.counts"]),
     ],
     ids=["not-json", "not-utf8", "not-an-object", "alpha-abc", "ragged-alpha", "theta-scalar",
-         "n-float", "n-bool", "negative-seed", "check-tol-nan", "check-tol-inf", "fit-tol-nan", "fit-tol-inf"],
+         "n-float", "n-bool", "negative-seed", "check-tol-nan", "check-tol-inf", "fit-tol-nan", "fit-tol-inf",
+         "count-beyond-int64", "total-beyond-int64", "merged-count-beyond-int64", "counts-not-utf8"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, files, argv):
     for name, body in files.items():
@@ -200,3 +222,122 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, files, argv):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in out + err and "NaN" not in out
+
+
+# Pieces a mutation inserts or writes over one character: separators and
+# whitespace the plain form excludes, signs, digit group marks, a non-ASCII
+# digit, and numbers beyond int64.
+PIECES = ["0", "1", "2", "3", "4", "9", " ", "  ", "\t", ",", "\r", "\n", "\r\n", "\n\n", "+", "-", "_",
+          "٣", "\x0b", "\x85", "12345678901234567890", "99999999999999999999",
+          "4611686018427387904"]
+HEADERS = ["n=0", "n=1", "n=2", "n=3", "n=10", "n= 3", "n=+3", "n=3 ", "n=٣", "n=²", "m=3", "n=", "n=x", ""]
+
+
+@st.composite
+def counts_texts(draw):
+    """A valid counts file in plain form at n <= 4, with duplicate records and
+    with or without its final newline."""
+    n = draw(st.integers(1, 4))
+    records = draw(st.lists(
+        st.tuples(st.permutations(range(1, n + 1)), st.integers(1, 5000)), min_size=1, max_size=4,
+    ))
+    lines = [f"n={n}"] + [f"{' '.join(map(str, pi))},{c}" for pi, c in records]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 10**4),
+                  st.sampled_from(PIECES)),
+        st.tuples(st.just("header"), st.just(0), st.sampled_from(HEADERS)),
+    ),
+    max_size=3,
+)
+
+
+# What write_counts writes, up to the number of images per line.
+PLAIN = re.compile(r"n=[1-9]\n(?:[0-9]{1,18}(?: [0-9]{1,18})*,[0-9]{1,18}\n)+")
+
+
+def _mutate(text: str, edits) -> str:
+    for kind, pos, piece in edits:
+        pos %= len(text) + 1
+        if kind == "insert":
+            text = text[:pos] + piece + text[pos:]
+        elif kind == "replace":
+            text = text[:pos] + piece + text[pos + 1 :]
+        elif kind == "delete":
+            text = text[:pos] + text[pos + 1 :]
+        else:
+            text = piece + text[text.index("\n") :] if "\n" in text else piece
+    return text
+
+
+def _count_total(text: str) -> int:
+    """Sum of the positive count fields of the records, read as the reference loop reads them."""
+    total = 0
+    for line in text.splitlines()[1:]:
+        try:
+            total += max(0, int(line.rpartition(",")[2]))
+        except ValueError:
+            pass
+    return total
+
+
+def _outcome(parse, path, errors=Exception):
+    """(n, counts) of the file, or (exception class, message) for the errors caught."""
+    try:
+        data = parse(path)
+    except errors as exc:
+        return type(exc), str(exc)
+    return data.n, data.counts.tolist()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "f.counts")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(counts_texts(), EDITS)
+@example("n=2\n12345678901234567890 1,3\n", [])
+@example("n=2\n1 2,99999999999999999999\n", [])
+@example("n=2\n1 2,1_0\n", [])
+@example("n=2\n2 1,+3\n", [])
+@example("n=2\n1 2,٣\n", [])
+@example("n=2\n2 1,3\n1 2,0\n", [])
+@example("n=2\n1 ,3\n", [])
+@example("n=2\n2-1,3\n", [])
+def test_parse_counts_matches_the_line_loop(fuzz_path, text, edits):
+    # the array parse gives the reference loop's counts, or its exception class
+    # and message; the one difference is a count or a total beyond int64, which
+    # the loop does not check (it crashes or wraps)
+    text = _mutate(text, edits)
+    with open(fuzz_path, "wb") as fh:
+        fh.write(text.encode())
+    got = _outcome(parse_counts, fuzz_path, PermllError)
+    if "too large" in str(got[1]):
+        assert _count_total(text) > INT64_MAX
+        return
+    assert got == _outcome(oracles.parse_counts, fuzz_path)
+    if isinstance(got[0], int) and PLAIN.fullmatch(text if text.endswith("\n") else text + "\n"):
+        records = _plain_records(text)  # a valid file in plain form takes the array path
+        assert records is not None
+        n, rows = records
+        assert EmpiricalData.from_records(n, rows[:, :-1], rows[:, -1]).counts.tolist() == got[1]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(counts_texts(), EDITS)
+def test_cli_on_mutated_counts_is_one_error_line(fuzz_path, text, edits):
+    with open(fuzz_path, "wb") as fh:
+        fh.write(_mutate(text, edits).encode())
+    for argv in (["fit", "--family", "l", "--data", fuzz_path], ["check", "--data", fuzz_path]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith(("error:", "internal error:"))
+            assert err.getvalue().count("\n") == 1
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -56,6 +56,16 @@ class TestEmpirical:
         with pytest.raises(ValidationError):
             EmpiricalData(2, np.array([3, -1]))
 
+    def test_from_records_merges_and_checks(self):
+        data = EmpiricalData.from_records(2, [[2, 1], [1, 2], [2, 1]], [1, 3, 4])
+        assert data.counts.tolist() == [3, 5]
+        with pytest.raises(ValidationError, match=r"\(1, 1\) is not a permutation"):
+            EmpiricalData.from_records(2, [[1, 2], [1, 1]], [1, 1])
+        with pytest.raises(ValidationError, match="non-negative"):
+            EmpiricalData.from_records(2, [[1, 2], [1, 2]], [5, -3])
+        with pytest.raises(ValidationError, match="total count too large"):
+            EmpiricalData.from_records(2, [[1, 2], [2, 1]], [2**62, 2**62])
+
     def test_options_validation(self):
         with pytest.raises(ValidationError):
             FitOptions(max_cycles=0)
