@@ -27,7 +27,6 @@ from .errors import (
     PermllError,
     SizeError,
     SupportMismatchError,
-    UnsupportedFamilyError,
     ValidationError,
 )
 from .fit import (
@@ -58,10 +57,12 @@ from .perms import (
     relabel_distribution,
 )
 from .subspaces import (
+    FAMILIES,
     BasisKind,
     BasisVector,
     DimensionReport,
     FamilyKind,
+    FamilySpec,
     GeneratorFamily,
     SectionKind,
     basis_vector,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -365,7 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # each warning as one line, without its source location
+            warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

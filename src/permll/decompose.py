@@ -28,7 +28,7 @@ from .perms import (
     perm_array,
     prefix_members,
 )
-from .subspaces import DECOMPOSABLE_KINDS, FamilyKind
+from .subspaces import DECOMPOSABLE_KINDS, FAMILIES, FamilyKind, defining_family
 
 DEFAULT_TOL = 1e-9
 
@@ -160,28 +160,25 @@ def _l_check(p: DistributionTable, tol: float) -> tuple[bool, float]:
 def is_decomposable(
     p: DistributionTable, family: FamilyKind, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float]:
-    """Verdict and max violation for one of the six decomposable families."""
+    """Verdict and max violation for one of the six decomposable families.  A
+    meet takes those of its families, a mirrored family its mirror's on the
+    inverse table."""
     if not 0 < tol < math.inf:
         raise ValidationError("tol must be finite and positive")
-    if family not in DECOMPOSABLE_KINDS:
+    spec = FAMILIES.get(family)
+    if spec is None or not spec.checked:
         raise ValidationError(f"{family} is not a decomposability family")
-    if family is FamilyKind.L:
-        return _l_check(p, tol)
-    if family is FamilyKind.L_PRIME:
-        return _l_check(inverse_distribution(p), tol)
-    if family is FamilyKind.L_S:
-        ok, viol = _l_check(p, tol)
+    if spec.meet:
+        parts = [is_decomposable(p, part, tol) for part in spec.meet]
+        return all(ok for ok, _ in parts), max(viol for _, viol in parts)
+    kind, inverted = defining_family(family)
+    if inverted:
+        p = inverse_distribution(p)
+    ok, viol = _l_check(p, tol)
+    if kind is FamilyKind.L_S:
         spread = _union_spread(p)
         return ok and spread <= tol, max(viol, spread)
-    if family is FamilyKind.L_S_PRIME:
-        return is_decomposable(inverse_distribution(p), FamilyKind.L_S, tol)
-    if family is FamilyKind.BI:
-        ok1, v1 = _l_check(p, tol)
-        ok2, v2 = _l_check(inverse_distribution(p), tol)
-        return ok1 and ok2, max(v1, v2)
-    ok1, v1 = is_decomposable(p, FamilyKind.L_S, tol)
-    ok2, v2 = is_decomposable(p, FamilyKind.L_S_PRIME, tol)
-    return ok1 and ok2, max(v1, v2)
+    return ok, viol
 
 
 @dataclass

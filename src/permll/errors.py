@@ -25,9 +25,5 @@ class SupportMismatchError(PermllError):
     """Fitted probability zero on a cell with positive observed count."""
 
 
-class UnsupportedFamilyError(PermllError):
-    """Operation not available for the given generator family."""
-
-
 class InternalCheckError(PermllError):
     """Two redundant computation paths disagreed beyond numerical slack."""

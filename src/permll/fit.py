@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import SizeError, SupportMismatchError, ValidationError
 from .perms import (
     DistributionTable,
     Perm,
-    ProductPartition,
     check_size,
     compose,
     edge_keys,
@@ -35,10 +33,13 @@ from .perms import (
     relabel_index,
 )
 from .subspaces import (
+    FAMILIES,
     FamilyKind,
     GeneratorFamily,
+    SearchSide,
     SectionKind,
     atom_labels,
+    defining_family,
     formula_dimension,
     generators,
     section_partition,
@@ -159,9 +160,6 @@ def _r_loglik(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.dot(r[mask], np.log(p[mask])))
 
 
-_PRIMED = (FamilyKind.L_PRIME, FamilyKind.L_S_PRIME)
-
-
 @lru_cache(maxsize=None)
 def _lattice_generators(family: GeneratorFamily):
     """The family's generators on the edges of the prefix-set lattice.
@@ -169,17 +167,13 @@ def _lattice_generators(family: GeneratorFamily):
     Per generator, in the family's order (levels never decrease): its level k,
     the atom of each edge of level k, and the atom count.  Then, to measure
     every generator's gap in one bincount: the edge and offset atom of each
-    (generator, edge) pair and the generator of each offset atom.  The boards
-    of L' and L_S' are transposed, since those families are fitted on the
-    inverse table.
+    (generator, edge) pair and the generator of each offset atom.
     """
     n = family.n
     bounds = lattice_levels(n)[3]
     bold = [section_partition(SectionKind.BOLD, k + 1, n) for k in range(n)]
     gens = []
     for board in generators(family):
-        if family.kind in _PRIMED:
-            board = ProductPartition(board.cols, board.rows)
         level = next(k for k in range(n) if bold[k].refines(board.rows))
         gens.append((level, *atom_labels(board, n, level)))
     sizes = [size for _, _, size in gens]
@@ -262,24 +256,25 @@ def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | N
     rescaling each block-count atom to the empirical atom mass.
 
     Each generator but the saturated one reads one step of the chain through
-    the prefix-set lattice (of the inverse, for L' and L_S'), so the fit runs
-    on the n * 2^(n-1) chain weights, not on the n! cells.  The saturated fit
-    is one rescaling of the uniform table.
+    the prefix-set lattice, so the fit runs on the n * 2^(n-1) chain weights,
+    not on the n! cells.  A mirrored family (L', L_S') is its mirror fitted
+    to the inverse table.  The saturated fit is one rescaling of the uniform
+    table.
     """
     opts = opts or FitOptions()
     if r.n != family.n:
         raise SizeError(f"table for n={r.n} but family for n={family.n}")
-    if family.kind is FamilyKind.SATURATED:
+    kind, inverted = defining_family(family.kind)
+    if kind is FamilyKind.SATURATED:
         u = np.full(len(r.probs), 1.0 / len(r.probs))
         fitted = DistributionTable(r.n, u * (r.probs / u))
         gap = 0.5 * float(np.abs(fitted.probs - r.probs).sum())
         trace, cycles = [_r_loglik(r.probs, fitted.probs)], 1
     else:
-        primed = family.kind in _PRIMED
-        data = inverse_distribution(r) if primed else r
-        weights, trace, cycles, gap = _lattice_ipfp(family, data.probs, opts)
+        data = inverse_distribution(r) if inverted else r
+        weights, trace, cycles, gap = _lattice_ipfp(GeneratorFamily(kind, r.n), data.probs, opts)
         fitted = distribution_from_lambda(LambdaDecomposition(r.n, weights, 1.0))
-        if primed:
+        if inverted:
             fitted = inverse_distribution(fitted)
     return FitReport(
         fitted=fitted,
@@ -352,10 +347,9 @@ def gof_report(
 def fit_family(family: GeneratorFamily, data: EmpiricalData, opts: FitOptions | None = None) -> FitReport:
     """Fit a family to data (explicit for L and L', IPFP otherwise) and attach GOF."""
     r = empirical(data)
-    if family.kind is FamilyKind.L:
-        base = explicit_L_mle(r)
-    elif family.kind is FamilyKind.L_PRIME:
-        base = explicit_L_mle(r, primed=True)
+    kind, inverted = defining_family(family.kind)
+    if kind is FamilyKind.L:
+        base = explicit_L_mle(r, primed=inverted)
     else:
         base = ipfp_fit(family, r, opts)
     return gof_report(base.fitted, data, family, base)
@@ -366,12 +360,6 @@ def _fit_loglik(family: GeneratorFamily, counts: np.ndarray, opts: FitOptions) -
     the rest of its report."""
     data = EmpiricalData(family.n, counts)
     return _counts_loglik(counts, ipfp_fit(family, empirical(data), opts).fitted.probs)
-
-
-class SearchSide(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    BOTH = "both"
 
 
 def _invariance_generators(n: int) -> tuple[Perm, Perm]:
@@ -444,35 +432,6 @@ def _chain_edge_logliks(counts: np.ndarray, n: int) -> np.ndarray:
     return weights
 
 
-def _fit_loglik(family: GeneratorFamily, counts: np.ndarray, opts: FitOptions) -> float:
-    """The log-likelihood that fit_family reports for an IPFP family, without
-    the rest of its report."""
-    data = EmpiricalData(family.n, counts)
-    return _counts_loglik(counts, ipfp_fit(family, empirical(data), opts).fitted.probs)
-
-
-class SearchSide(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    BOTH = "both"
-
-
-# Sides of the relabelling whose every choice leaves the family's fit
-# unchanged: RIGHT is sigma, which moves positions, and LEFT is rho, which
-# moves values.  On each side a family does not ignore, relabelling by
-# (g sigma, h rho), g and h in right_invariance_group, leaves the fit
-# unchanged too.  tests/test_fit.py checks both claims by brute force.
-_IGNORED_SIDES = {
-    FamilyKind.L: {SearchSide.LEFT},
-    FamilyKind.L_S: {SearchSide.LEFT},
-    FamilyKind.L_PRIME: {SearchSide.RIGHT},
-    FamilyKind.L_S_PRIME: {SearchSide.RIGHT},
-    FamilyKind.QUASI_INDEPENDENCE: {SearchSide.LEFT, SearchSide.RIGHT},
-    FamilyKind.SATURATED: {SearchSide.LEFT, SearchSide.RIGHT},
-    FamilyKind.UNIFORM: {SearchSide.LEFT, SearchSide.RIGHT},
-}
-
-
 def search_relabelling(
     data: EmpiricalData,
     family: GeneratorFamily,
@@ -494,11 +453,11 @@ def search_relabelling(
     """
     opts = opts or FitOptions()
     n = data.n
-    kind = family.kind
-    ignored = _IGNORED_SIDES.get(kind, set())
+    ignored = FAMILIES[family.kind].ignored
+    kind, inverted = defining_family(family.kind)
     asked = (SearchSide.RIGHT, SearchSide.LEFT) if side is SearchSide.BOTH else (side,)
     searched = [s for s in asked if s not in ignored]
-    closed_form = kind in (FamilyKind.L, FamilyKind.L_PRIME)
+    closed_form = kind is FamilyKind.L
     if len(searched) == 2 and n > 6:
         raise SizeError("two-sided search capped at n=6")
     if len(searched) == 1 and n > 7 and not closed_form:
@@ -512,7 +471,7 @@ def search_relabelling(
     if not searched:
         keys = [0.0]
     elif closed_form:
-        counts = data.counts if kind is FamilyKind.L else data.counts[inverse_index(n)]
+        counts = data.counts[inverse_index(n)] if inverted else data.counts
         weights = _chain_edge_logliks(counts, n)
         keys = weights[edge_keys(n)[inverse_index(n)[reps]]].sum(axis=1).tolist()
     else:

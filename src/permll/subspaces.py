@@ -9,13 +9,14 @@ counts are cross-checked against an exact rank oracle over the integers.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import SizeError, UnsupportedFamilyError, ValidationError
+from .errors import SizeError, ValidationError
 from .exactrank import exact_rank
 from .perms import (
     Perm,
@@ -41,42 +42,6 @@ class FamilyKind(str, Enum):
     QUASI_INDEPENDENCE = "qi"
     SATURATED = "saturated"
     UNIFORM = "uniform"
-
-
-_FAMILY_ALIASES = {
-    "l": FamilyKind.L,
-    "l'": FamilyKind.L_PRIME,
-    "lp": FamilyKind.L_PRIME,
-    "l-prime": FamilyKind.L_PRIME,
-    "l_s": FamilyKind.L_S,
-    "ls": FamilyKind.L_S,
-    "l_s'": FamilyKind.L_S_PRIME,
-    "ls'": FamilyKind.L_S_PRIME,
-    "ls-prime": FamilyKind.L_S_PRIME,
-    "bi": FamilyKind.BI,
-    "bi_s": FamilyKind.BI_S,
-    "bis": FamilyKind.BI_S,
-    "qi": FamilyKind.QUASI_INDEPENDENCE,
-    "quasi-independence": FamilyKind.QUASI_INDEPENDENCE,
-    "saturated": FamilyKind.SATURATED,
-    "uniform": FamilyKind.UNIFORM,
-}
-
-DECOMPOSABLE_KINDS = (
-    FamilyKind.L,
-    FamilyKind.L_PRIME,
-    FamilyKind.L_S,
-    FamilyKind.L_S_PRIME,
-    FamilyKind.BI,
-    FamilyKind.BI_S,
-)
-
-
-def parse_family_kind(text: str) -> FamilyKind:
-    try:
-        return _FAMILY_ALIASES[text.strip().lower()]
-    except KeyError:
-        raise ValidationError(f"unknown family {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -123,36 +88,123 @@ def thin_cross_section(k: int, ell: int, n: int) -> ProductPartition:
     )
 
 
+def _row_boards(kind: SectionKind, ks: range, n: int) -> list[ProductPartition]:
+    """One board per k in ks: section k of the rows against the full columns."""
+    full = SetPartition.singletons(n)
+    return [ProductPartition(section_partition(kind, k, n), full) for k in ks]
+
+
+def _cross_boards(cross: Callable, ks: range, n: int) -> list[ProductPartition]:
+    """One board per (k, ell) in ks x ks: the cross section at (k, ell)."""
+    return [cross(k, ell, n) for k in ks for ell in ks]
+
+
+def _qi_boards(n: int) -> list[ProductPartition]:
+    """One board per position i, which reads the image of i: row {i} against the
+    other rows, full columns."""
+    full = SetPartition.singletons(n)
+    if n == 1:
+        return [ProductPartition(SetPartition.trivial(1), full)]
+    return [
+        ProductPartition(SetPartition([{i}, set(range(1, n + 1)) - {i}], n), full)
+        for i in range(1, n + 1)
+    ]
+
+
+class SearchSide(Enum):
+    """A side of a relabelling: RIGHT is sigma, which moves positions, and LEFT
+    is rho, which moves values."""
+
+    LEFT = "left"
+    RIGHT = "right"
+    BOTH = "both"
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One family: the names the CLI accepts (its value first), its generators
+    boards(n) and closed-form free parameters dim(n), or else the mirror it is
+    on the inverse table (see defining_family); the relabelling sides whose
+    every choice leaves its fit unchanged; the families whose meet it is, which
+    check tests in turn; and whether check reports it."""
+
+    names: tuple[str, ...]
+    boards: Callable[[int], list[ProductPartition]] | None = None
+    dim: Callable[[int], int] | None = None
+    mirror: FamilyKind | None = None
+    ignored: frozenset[SearchSide] = frozenset()
+    meet: tuple[FamilyKind, ...] = ()
+    checked: bool = False
+
+
+_LEFT, _RIGHT = frozenset({SearchSide.LEFT}), frozenset({SearchSide.RIGHT})
+_BOTH = _LEFT | _RIGHT
+
+FAMILIES: dict[FamilyKind, FamilySpec] = {
+    FamilyKind.L: FamilySpec(
+        ("l",), lambda n: _row_boards(SectionKind.BOLD, range(1, n + 1), n),
+        lambda n: 2 ** (n - 1) * (n - 2) + 1, ignored=_LEFT, checked=True,
+    ),
+    FamilyKind.L_PRIME: FamilySpec(
+        ("l'", "lp", "l-prime"), mirror=FamilyKind.L, ignored=_RIGHT, checked=True
+    ),
+    FamilyKind.L_S: FamilySpec(
+        ("l_s", "ls"), lambda n: _row_boards(SectionKind.THIN, range(1, n), n),
+        lambda n: 2**n - n - 1, ignored=_LEFT, checked=True,
+    ),
+    FamilyKind.L_S_PRIME: FamilySpec(
+        ("l_s'", "ls'", "ls-prime"), mirror=FamilyKind.L_S, ignored=_RIGHT, checked=True
+    ),
+    FamilyKind.BI: FamilySpec(
+        ("bi",), lambda n: _cross_boards(bold_cross_section, range(1, n + 1), n),
+        lambda n: sum(i * i for i in range(1, n)), meet=(FamilyKind.L, FamilyKind.L_PRIME), checked=True,
+    ),
+    FamilyKind.BI_S: FamilySpec(
+        ("bi_s", "bis"), lambda n: _cross_boards(thin_cross_section, range(1, n), n),
+        lambda n: sum((n - 2 * j - 1) ** 2 for j in range((n - 1) // 2 + 1)),
+        meet=(FamilyKind.L_S, FamilyKind.L_S_PRIME), checked=True,
+    ),
+    FamilyKind.QUASI_INDEPENDENCE: FamilySpec(
+        ("qi", "quasi-independence"), _qi_boards, lambda n: (n - 1) ** 2, ignored=_BOTH
+    ),
+    FamilyKind.SATURATED: FamilySpec(
+        ("saturated",),
+        lambda n: [ProductPartition(SetPartition.singletons(n), SetPartition.singletons(n))],
+        lambda n: math.factorial(n) - 1,
+        ignored=_BOTH,
+    ),
+    FamilyKind.UNIFORM: FamilySpec(
+        ("uniform",),
+        lambda n: [ProductPartition(SetPartition.trivial(n), SetPartition.trivial(n))],
+        lambda n: 0,
+        ignored=_BOTH,
+    ),
+}
+
+DECOMPOSABLE_KINDS = tuple(kind for kind, spec in FAMILIES.items() if spec.checked)
+
+
+def parse_family_kind(text: str) -> FamilyKind:
+    name = text.strip().lower()
+    for kind, spec in FAMILIES.items():
+        if name in spec.names:
+            return kind
+    raise ValidationError(f"unknown family {text!r}")
+
+
+def defining_family(kind: FamilyKind) -> tuple[FamilyKind, bool]:
+    """The family whose boards, dimension, fit and check define kind, and
+    whether kind reads it on the inverse table: l' is l and l_s' is l_s of
+    the inverse permutation, with every board transposed."""
+    mirror = FAMILIES[kind].mirror
+    return (kind, False) if mirror is None else (mirror, True)
+
+
 def generators(family: GeneratorFamily) -> list[ProductPartition]:
     """The concrete product-partition generators of a family."""
-    n = family.n
-    full = section_partition(SectionKind.FULL, 0, n)
-    trivial = section_partition(SectionKind.TRIVIAL, 0, n)
-    kind = family.kind
-    if kind is FamilyKind.L:
-        return [ProductPartition(section_partition(SectionKind.BOLD, k, n), full) for k in range(1, n + 1)]
-    if kind is FamilyKind.L_PRIME:
-        return [ProductPartition(full, section_partition(SectionKind.BOLD, k, n)) for k in range(1, n + 1)]
-    if kind is FamilyKind.L_S:
-        return [ProductPartition(section_partition(SectionKind.THIN, k, n), full) for k in range(1, n)]
-    if kind is FamilyKind.L_S_PRIME:
-        return [ProductPartition(full, section_partition(SectionKind.THIN, k, n)) for k in range(1, n)]
-    if kind is FamilyKind.BI:
-        return [bold_cross_section(k, ell, n) for k in range(1, n + 1) for ell in range(1, n + 1)]
-    if kind is FamilyKind.BI_S:
-        return [thin_cross_section(k, ell, n) for k in range(1, n) for ell in range(1, n)]
-    if kind is FamilyKind.QUASI_INDEPENDENCE:
-        if n == 1:
-            return [ProductPartition(trivial, full)]
-        return [
-            ProductPartition(SetPartition([{i}, set(range(1, n + 1)) - {i}], n), full)
-            for i in range(1, n + 1)
-        ]
-    if kind is FamilyKind.SATURATED:
-        return [ProductPartition(full, full)]
-    if kind is FamilyKind.UNIFORM:
-        return [ProductPartition(trivial, trivial)]
-    raise UnsupportedFamilyError(f"no generators for {kind}")
+    kind, inverted = defining_family(family.kind)
+    boards = FAMILIES[kind].boards(family.n)
+    return [ProductPartition(b.cols, b.rows) for b in boards] if inverted else boards
 
 
 def stats_aq(pi: Perm, k: int, ell: int) -> tuple[int, int]:
@@ -294,23 +346,7 @@ def rho5_basis_labels(n: int) -> list[tuple[int, int, int]]:
 
 def formula_dimension(family: GeneratorFamily) -> int:
     """Closed-form number of free parameters of a family."""
-    n = family.n
-    kind = family.kind
-    if kind in (FamilyKind.L, FamilyKind.L_PRIME):
-        return 2 ** (n - 1) * (n - 2) + 1
-    if kind in (FamilyKind.L_S, FamilyKind.L_S_PRIME):
-        return 2**n - n - 1
-    if kind is FamilyKind.BI:
-        return sum(i * i for i in range(1, n))
-    if kind is FamilyKind.BI_S:
-        return sum((n - 2 * j - 1) ** 2 for j in range((n - 1) // 2 + 1))
-    if kind is FamilyKind.QUASI_INDEPENDENCE:
-        return (n - 1) ** 2
-    if kind is FamilyKind.SATURATED:
-        return math.factorial(n) - 1
-    if kind is FamilyKind.UNIFORM:
-        return 0
-    raise UnsupportedFamilyError(f"no closed-form dimension for {kind}")
+    return FAMILIES[defining_family(family.kind)[0]].dim(family.n)
 
 
 @lru_cache(maxsize=None)
@@ -377,8 +413,10 @@ def rank_dimension(family: GeneratorFamily) -> int:
     """Free parameters by exact rank of the generator indicator span (minus the constant)."""
     if family.n > RANK_MAX_N:
         raise SizeError(f"rank oracle capped at n={RANK_MAX_N}, got {family.n}")
-    mat = span_matrix(generators(family), family.n)
-    return exact_rank(mat) - 1
+    boards = generators(family)
+    if not boards:  # l_s, l_s' and bi_s at n = 1: the one-cell table alone
+        return 0
+    return exact_rank(span_matrix(boards, family.n)) - 1
 
 
 def subspace_intersection_dim(k: int, ell: int, n: int) -> int:

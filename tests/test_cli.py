@@ -9,7 +9,7 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from permll import EmpiricalData
+from permll import EmpiricalData, FamilyKind
 from permll.cli import _plain_records, main, parse_counts, write_counts
 from permll.errors import ParseError, PermllError, ValidationError
 from permll.fit import INT64_MAX
@@ -97,6 +97,16 @@ class TestCountsFile:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda kind: kind.value)
+    def test_dims_of_every_family_at_n_1(self, capsys, schema, kind):
+        # the one-cell table of S_1 leaves no free parameter, whatever the generators
+        assert main(["dims", "--family", kind.value, "--n", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["  free parameters: 0", "  rank check:      0"]
+        assert main(["dims", "--family", kind.value, "--n", "1", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, schema)
+        assert (doc["formula_dim"], doc["rank_dim"], doc["free_parameters"]) == (0, 0, 0)
+
     def test_dims_json_validates(self, capsys, schema):
         assert main(["dims", "--family", "bi", "--n", "5", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -181,39 +191,62 @@ class TestExitCodes:
     def test_unknown_family_is_one(self, capsys):
         assert main(["dims", "--family", "nope", "--n", "4"]) == 1
 
+    def test_low_count_warning_is_one_line(self, capsys, tmp_path):
+        # the library's UserWarning reaches stderr as one line, without the
+        # source file and line that Python's warning format adds
+        path = tmp_path / "sparse.counts"
+        path.write_text("n=4\n1 2 3 4,3\n2 1 3 4,1\n")
+        assert main(["fit", "--family", "bi", "--data", str(path), "--json"]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: 2 cells have expected count below 5; the nominal df may be optimistic\n"
+
 
 MBT4 = json.dumps({"kind": "mbt", "n": 4, "params": {"alpha": [0.4, 0.3, 0.2, 0.1]}})
 COUNTS2 = "n=2\n1 2,3\n2 1,1\n"
 
 
 @pytest.mark.parametrize(
-    "files, argv",
+    "files, argv, says",
     [
-        ({"s.json": "{not json"}, ["check", "--spec", "@s.json"]),
-        ({"s.json": b"\xff\xfe"}, ["check", "--spec", "@s.json"]),
-        ({"s.json": "[1, 2]"}, ["check", "--spec", "@s.json"]),
-        ({"s.json": MBT4.replace("[0.4, 0.3, 0.2, 0.1]", '"abc"')}, ["check", "--spec", "@s.json"]),
-        ({"s.json": MBT4.replace("[0.4, 0.3, 0.2, 0.1]", "[[1], [2, 3]]")}, ["check", "--spec", "@s.json"]),
+        ({"s.json": "{not json"}, ["check", "--spec", "@s.json"], "s.json: not a JSON spec file"),
+        ({"s.json": b"\xff\xfe"}, ["check", "--spec", "@s.json"], "s.json: not a JSON spec file"),
+        ({"s.json": "[1, 2]"}, ["check", "--spec", "@s.json"], "bad classic spec file"),
+        ({"s.json": MBT4.replace("[0.4, 0.3, 0.2, 0.1]", '"abc"')}, ["check", "--spec", "@s.json"],
+         "bad mbt parameter 'alpha'"),
+        ({"s.json": MBT4.replace("[0.4, 0.3, 0.2, 0.1]", "[[1], [2, 3]]")}, ["check", "--spec", "@s.json"],
+         "bad mbt parameter 'alpha'"),
         ({"s.json": '{"kind": "multistage", "n": 3, "params": {"theta": 5}}'},
-         ["check", "--spec", "@s.json"]),
-        ({"s.json": MBT4.replace('"n": 4', '"n": 4.7')}, ["check", "--spec", "@s.json"]),
-        ({"s.json": '{"kind": "mbt", "n": true, "params": {"alpha": [1.0]}}'}, ["check", "--spec", "@s.json"]),
-        ({"s.json": MBT4}, ["sample", "--spec", "@s.json", "--m", "5", "--seed", "-1"]),
-        ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "nan", "--json"]),
-        ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "inf"]),
-        ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "nan"]),
-        ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "inf"]),
-        ({"a.counts": "n=2\n1 2,99999999999999999999\n"}, ["fit", "--family", "l", "--data", "@a.counts"]),
+         ["check", "--spec", "@s.json"], "bad multistage parameter 'theta'"),
+        ({"s.json": MBT4.replace('"n": 4', '"n": 4.7')}, ["check", "--spec", "@s.json"],
+         "n must be an integer, got 4.7"),
+        ({"s.json": '{"kind": "mbt", "n": true, "params": {"alpha": [1.0]}}'}, ["check", "--spec", "@s.json"],
+         "n must be an integer, got True"),
+        ({"s.json": MBT4}, ["sample", "--spec", "@s.json", "--m", "5", "--seed", "-1"],
+         "seed must be non-negative"),
+        ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "nan", "--json"],
+         "error: tol must be finite"),
+        ({"s.json": MBT4}, ["check", "--spec", "@s.json", "--tol", "inf"], "error: tol must be finite"),
+        ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "nan"],
+         "marginal_tol must be finite"),
+        ({"a.counts": COUNTS2}, ["fit", "--family", "l", "--data", "@a.counts", "--tol", "inf"],
+         "marginal_tol must be finite"),
+        ({"a.counts": "n=2\n1 2,99999999999999999999\n"}, ["fit", "--family", "l", "--data", "@a.counts"],
+         "a.counts:2: count too large"),
         ({"a.counts": f"n=2\n1 2,{2**62 + 2**61}\n2 1,{2**62 + 2**61}\n"},
-         ["fit", "--family", "l", "--data", "@a.counts"]),
-        ({"a.counts": f"n=2\n1 2,{2**62}\n1 2,{2**62}\n"}, ["fit", "--family", "l", "--data", "@a.counts"]),
-        ({"a.counts": b"\xff\xfen=2\n1 2,3\n"}, ["fit", "--family", "l", "--data", "@a.counts"]),
+         ["fit", "--family", "l", "--data", "@a.counts"], "a.counts: total count too large"),
+        ({"a.counts": f"n=2\n1 2,{2**62}\n1 2,{2**62}\n"}, ["fit", "--family", "l", "--data", "@a.counts"],
+         "a.counts: total count too large"),
+        ({"a.counts": b"\xff\xfen=2\n1 2,3\n"}, ["fit", "--family", "l", "--data", "@a.counts"],
+         "a.counts: not a UTF-8 counts file"),
+        ({"a.counts": COUNTS2}, ["fit", "--family", "nope", "--data", "@a.counts"], "unknown family 'nope'"),
+        ({}, ["dims", "--family", "l", "--n", "10"], "board size 10 outside 1..9"),
     ],
     ids=["not-json", "not-utf8", "not-an-object", "alpha-abc", "ragged-alpha", "theta-scalar",
          "n-float", "n-bool", "negative-seed", "check-tol-nan", "check-tol-inf", "fit-tol-nan", "fit-tol-inf",
-         "count-beyond-int64", "total-beyond-int64", "merged-count-beyond-int64", "counts-not-utf8"],
+         "count-beyond-int64", "total-beyond-int64", "merged-count-beyond-int64", "counts-not-utf8",
+         "unknown-family", "board-size-10"],
 )
-def test_bad_input_is_one_error_line(tmp_path, capsys, files, argv):
+def test_bad_input_is_one_error_line(tmp_path, capsys, files, argv, says):
     for name, body in files.items():
         path = tmp_path / name
         path.write_bytes(body) if isinstance(body, bytes) else path.write_text(body)
@@ -221,6 +254,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, files, argv):
     out, err = capsys.readouterr()
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    assert says in err
     assert "Traceback" not in out + err and "NaN" not in out
 
 

@@ -31,9 +31,8 @@ from permll import (
     search_relabelling,
 )
 from permll.errors import SizeError, SupportMismatchError, ValidationError
-from permll.fit import _IGNORED_SIDES
 from permll.perms import relabel_index
-from permll.subspaces import generators, span_matrix
+from permll.subspaces import FAMILIES, generators, span_matrix
 
 
 def random_counts(n, seed, m=2000):
@@ -418,7 +417,7 @@ class TestRelabelling:
             logliks = oracles.relabelled_logliks(data, family, side)
             moved = 0 if side is SearchSide.RIGHT else 1
             tol = 1e-9 * max(1.0, max(abs(v) for v in logliks.values()))
-            if side in _IGNORED_SIDES.get(kind, ()):
+            if side in FAMILIES[kind].ignored:
                 orbits = [list(logliks.values())]
             else:
                 orbits = []

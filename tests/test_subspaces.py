@@ -26,7 +26,8 @@ from permll import (
 )
 from permll.errors import SizeError, ValidationError
 from permll.exactrank import exact_rank
-from permll.subspaces import RANK_MAX_N, _stats_aq_all
+from permll.perms import ProductPartition
+from permll.subspaces import FAMILIES, RANK_MAX_N, _stats_aq_all
 from oracles import marginal
 
 
@@ -44,8 +45,13 @@ def brute_stats(pi, k, ell):
 
 class TestFamilies:
     def test_parse_family_aliases(self):
-        assert parse_family_kind("L") is FamilyKind.L
-        assert parse_family_kind("bi") is FamilyKind.BI
+        assert list(FAMILIES) == list(FamilyKind)
+        owner = {}
+        for kind, spec in FAMILIES.items():
+            assert spec.names[0] == kind.value
+            for name in spec.names:
+                assert parse_family_kind(f" {name.upper()} ") is kind
+                assert owner.setdefault(name, kind) is kind, f"{name} names two families"
         with pytest.raises(ValidationError):
             parse_family_kind("nope")
 
@@ -60,6 +66,15 @@ class TestFamilies:
         for board in (bold_cross_section(2, 3, 5), thin_cross_section(2, 3, 5)):
             total = marginal((1, 2, 3, 4, 5), board).sum()
             assert total == 5
+
+    def test_a_mirrored_family_is_its_mirror_transposed(self):
+        mirrored = [(kind, spec.mirror) for kind, spec in FAMILIES.items() if spec.mirror]
+        assert mirrored == [(FamilyKind.L_PRIME, FamilyKind.L), (FamilyKind.L_S_PRIME, FamilyKind.L_S)]
+        for kind, mirror in mirrored:
+            assert FAMILIES[kind].boards is FAMILIES[kind].dim is FAMILIES[mirror].mirror is None
+            for n in range(1, 7):
+                own, theirs = GeneratorFamily(kind, n), GeneratorFamily(mirror, n)
+                assert generators(own) == [ProductPartition(b.cols, b.rows) for b in generators(theirs)]
 
 
 class TestStats:
@@ -113,26 +128,18 @@ class TestDimensions:
 
     def test_primed_formulas_match_unprimed(self):
         for n in (3, 4, 5, 6):
-            for kind, primed in (
-                (FamilyKind.L, FamilyKind.L_PRIME),
-                (FamilyKind.L_S, FamilyKind.L_S_PRIME),
-            ):
-                assert formula_dimension(GeneratorFamily(kind, n)) == formula_dimension(
-                    GeneratorFamily(primed, n)
-                )
+            for primed, spec in FAMILIES.items():
+                if spec.mirror:
+                    assert formula_dimension(GeneratorFamily(spec.mirror, n)) == formula_dimension(
+                        GeneratorFamily(primed, n)
+                    )
 
     def test_rank_equals_formula_small(self):
-        for n in (3, 4):
-            for kind in (
-                FamilyKind.L,
-                FamilyKind.L_PRIME,
-                FamilyKind.L_S,
-                FamilyKind.L_S_PRIME,
-                FamilyKind.BI,
-                FamilyKind.BI_S,
-            ):
+        # n = 1 included: there l_s, l_s' and bi_s have no generators
+        for n in range(1, 6):
+            for kind in FAMILIES:
                 family = GeneratorFamily(kind, n)
-                assert rank_dimension(family) == formula_dimension(family)
+                assert rank_dimension(family) == formula_dimension(family), (kind, n)
 
     def test_quasi_independence_needs_rank(self):
         # the closed form (n-1)^2 agrees with the rank oracle wherever it runs
