@@ -5,6 +5,8 @@ exact subspace dimensions, decomposability checks, IPFP and explicit maximum
 likelihood fitting, classic ranking-model constructors, and relabelling search.
 """
 
+import types
+
 from .classic import ClassicKind, ClassicSpec, classic_distribution, sample, spec_from_json
 from .decompose import (
     DEFAULT_TOL,
@@ -63,7 +65,6 @@ from .subspaces import (
     DimensionReport,
     FamilyKind,
     FamilySpec,
-    GeneratorFamily,
     SectionKind,
     basis_vector,
     bold_cross_section,
@@ -82,6 +83,8 @@ from .subspaces import (
     thin_cross_section,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)
+]
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ from .fit import (
 from .perms import DEFAULT_MAX_N, DistributionTable, check_permutation, inverse_index, perm_array
 from .subspaces import (
     BasisKind,
-    GeneratorFamily,
     basis_vector,
     dimension_report,
     mu_vectors,
@@ -173,8 +172,7 @@ def _emit(args, doc: dict, text: str) -> None:
 
 
 def _cmd_dims(args) -> int:
-    family = GeneratorFamily(parse_family_kind(args.family), args.n)
-    report = dimension_report(family, compute_rank=not args.no_rank)
+    report = dimension_report(parse_family_kind(args.family), args.n, compute_rank=not args.no_rank)
     doc = report.to_json()
     lines = [f"family {doc['family']}  n={doc['n']}"]
     lines.append(f"  free parameters: {doc['free_parameters']}")
@@ -226,17 +224,15 @@ def _finish_fit(args, report) -> int:
 
 def _cmd_fit(args) -> int:
     data = _read_data(args)
-    family = GeneratorFamily(parse_family_kind(args.family), data.n)
     opts = FitOptions(max_cycles=args.max_cycles, marginal_tol=args.tol)
-    return _finish_fit(args, fit_family(family, data, opts))
+    return _finish_fit(args, fit_family(parse_family_kind(args.family), data, opts))
 
 
 def _cmd_gof(args) -> int:
     data = _read_data(args)
     spec, n = spec_from_json(args.spec)
     fitted = classic_distribution(spec, n)
-    family = GeneratorFamily(parse_family_kind(args.family), data.n)
-    return _finish_fit(args, gof_report(fitted, data, family))
+    return _finish_fit(args, gof_report(fitted, data, parse_family_kind(args.family)))
 
 
 def _cmd_sample(args) -> int:
@@ -253,8 +249,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_search_labels(args) -> int:
     data = _read_data(args)
-    family = GeneratorFamily(parse_family_kind(args.family), data.n)
-    _, _, report = search_relabelling(data, family, SearchSide(args.side))
+    _, _, report = search_relabelling(data, parse_family_kind(args.family), SearchSide(args.side))
     return _finish_fit(args, report)
 
 
@@ -329,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fit", help="maximum-likelihood fit of a family to counts")
     p.add_argument("--family", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-cycles", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=FitOptions.marginal_tol)
+    p.add_argument("--max-cycles", type=int, default=FitOptions.max_cycles)
     _add_common(p, data=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -375,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except PermllError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,6 +61,9 @@ class LambdaDecomposition:
     def get(self, x: int, prefix) -> float:
         if not 1 <= x <= self.n:
             raise ValidationError(f"element {x} outside 1..{self.n}")
+        prefix = [int(y) for y in prefix]
+        if len(set(prefix)) != len(prefix) or not all(1 <= y <= self.n for y in prefix):
+            raise ValidationError(f"prefix {prefix} is not a set of elements of 1..{self.n}")
         mask = sum(1 << (y - 1) for y in prefix)
         return float(self.edges[mask * self.n + x - 1])
 

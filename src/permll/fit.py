@@ -35,7 +35,6 @@ from .perms import (
 from .subspaces import (
     FAMILIES,
     FamilyKind,
-    GeneratorFamily,
     SearchSide,
     SectionKind,
     atom_labels,
@@ -120,8 +119,7 @@ class FitOptions:
 @dataclass
 class FitReport:
     fitted: DistributionTable
-    family: FamilyKind | None = None
-    n: int | None = None
+    family: FamilyKind
     log_likelihood: float | None = None
     gof_chi_square: float | None = None
     df: int | None = None
@@ -134,8 +132,8 @@ class FitReport:
 
     def to_json(self) -> dict:
         doc = {
-            "family": self.family.value if self.family else None,
-            "n": self.n if self.n is not None else self.fitted.n,
+            "family": self.family.value,
+            "n": self.fitted.n,
             "log_likelihood": self.log_likelihood,
             "gof": self.gof_chi_square,
             "df": self.df,
@@ -161,7 +159,7 @@ def _r_loglik(r: np.ndarray, p: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=None)
-def _lattice_generators(family: GeneratorFamily):
+def _lattice_generators(kind: FamilyKind, n: int):
     """The family's generators on the edges of the prefix-set lattice.
 
     Per generator, in the family's order (levels never decrease): its level k,
@@ -169,11 +167,10 @@ def _lattice_generators(family: GeneratorFamily):
     every generator's gap in one bincount: the edge and offset atom of each
     (generator, edge) pair and the generator of each offset atom.
     """
-    n = family.n
     bounds = lattice_levels(n)[3]
     bold = [section_partition(SectionKind.BOLD, k + 1, n) for k in range(n)]
     gens = []
-    for board in generators(family):
+    for board in generators(kind, n):
         level = next(k for k in range(n) if bold[k].refines(board.rows))
         gens.append((level, *atom_labels(board, n, level)))
     sizes = [size for _, _, size in gens]
@@ -187,7 +184,7 @@ def _lattice_generators(family: GeneratorFamily):
     return tuple(gens), pair_edges, pair_atoms, owner
 
 
-def _lattice_ipfp(family: GeneratorFamily, r: np.ndarray, opts: FitOptions):
+def _lattice_ipfp(kind: FamilyKind, n: int, r: np.ndarray, opts: FitOptions):
     """IPFP on the edge weights w of p(pi) = prod_k w(edge k of pi), starting
     from 1/n! on level 0 and 1 elsewhere.
 
@@ -199,11 +196,10 @@ def _lattice_ipfp(family: GeneratorFamily, r: np.ndarray, opts: FitOptions):
     valid from the last gap check.  Returns the weights keyed as in
     edge_keys, the log-likelihood trace, the cycles run and the last gap.
     """
-    n = family.n
     key, source, target, bounds = lattice_levels(n)
     levels = [slice(bounds[k], bounds[k + 1]) for k in range(n)]
     level_of = np.repeat(np.arange(n), np.diff(bounds))
-    gens, pair_edges, pair_atoms, owner = _lattice_generators(family)
+    gens, pair_edges, pair_atoms, owner = _lattice_generators(kind, n)
     emp = np.bincount(edge_keys(n).ravel(), weights=np.repeat(r, n), minlength=n << n)[key]
     goal = np.bincount(pair_atoms, weights=emp[pair_edges], minlength=len(owner))
     goals = np.split(goal, np.cumsum([size for _, _, size in gens])[:-1])
@@ -251,7 +247,7 @@ def _lattice_ipfp(family: GeneratorFamily, r: np.ndarray, opts: FitOptions):
     return weights, trace, cycles, gap
 
 
-def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | None = None) -> FitReport:
+def ipfp_fit(kind: FamilyKind, r: DistributionTable, opts: FitOptions | None = None) -> FitReport:
     """Iterative proportional fitting: cycle over the family's generators,
     rescaling each block-count atom to the empirical atom mass.
 
@@ -262,24 +258,21 @@ def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | N
     table.
     """
     opts = opts or FitOptions()
-    if r.n != family.n:
-        raise SizeError(f"table for n={r.n} but family for n={family.n}")
-    kind, inverted = defining_family(family.kind)
-    if kind is FamilyKind.SATURATED:
+    defining, inverted = defining_family(kind)
+    if defining is FamilyKind.SATURATED:
         u = np.full(len(r.probs), 1.0 / len(r.probs))
         fitted = DistributionTable(r.n, u * (r.probs / u))
         gap = 0.5 * float(np.abs(fitted.probs - r.probs).sum())
         trace, cycles = [_r_loglik(r.probs, fitted.probs)], 1
     else:
         data = inverse_distribution(r) if inverted else r
-        weights, trace, cycles, gap = _lattice_ipfp(GeneratorFamily(kind, r.n), data.probs, opts)
+        weights, trace, cycles, gap = _lattice_ipfp(defining, r.n, data.probs, opts)
         fitted = distribution_from_lambda(LambdaDecomposition(r.n, weights, 1.0))
         if inverted:
             fitted = inverse_distribution(fitted)
     return FitReport(
         fitted=fitted,
-        family=family.kind,
-        n=family.n,
+        family=kind,
         log_likelihood=trace[-1],
         cycles_used=cycles,
         converged=gap <= opts.marginal_tol,
@@ -297,7 +290,6 @@ def explicit_L_mle(r: DistributionTable, primed: bool = False) -> FitReport:
     return FitReport(
         fitted=fitted,
         family=FamilyKind.L_PRIME if primed else FamilyKind.L,
-        n=r.n,
         log_likelihood=_r_loglik(r.probs, fitted.probs),
         cycles_used=1,
         converged=True,
@@ -314,11 +306,11 @@ def _counts_loglik(counts: np.ndarray, probs: np.ndarray) -> float:
 
 
 def gof_report(
-    fitted: DistributionTable, data: EmpiricalData, family: GeneratorFamily, base: FitReport | None = None
+    fitted: DistributionTable, data: EmpiricalData, kind: FamilyKind, base: FitReport | None = None
 ) -> FitReport:
     """Log-likelihood, Pearson chi-square, nominal df, and the standardized U."""
-    if fitted.n != data.n or family.n != data.n:
-        raise SizeError("fitted table, data, and family must share n")
+    if fitted.n != data.n:
+        raise SizeError("fitted table and data must share n")
     counts = data.counts
     m = data.m
     probs = fitted.probs
@@ -326,7 +318,7 @@ def gof_report(
     expected = m * probs
     cell_mask = probs > 0.0
     gof = float(((counts[cell_mask] - expected[cell_mask]) ** 2 / expected[cell_mask]).sum())
-    df = (math.factorial(data.n) - 1) - formula_dimension(family)
+    df = (math.factorial(data.n) - 1) - formula_dimension(kind, data.n)
     low = int((expected[cell_mask] < 5.0).sum())
     if low:
         warnings.warn(
@@ -334,9 +326,8 @@ def gof_report(
             stacklevel=2,
         )
     u = (gof - df) / math.sqrt(df) if df > 0 else None
-    report = base or FitReport(fitted=fitted)
-    report.family = family.kind
-    report.n = data.n
+    report = base or FitReport(fitted, kind)
+    report.family = kind
     report.log_likelihood = loglik
     report.gof_chi_square = gof
     report.df = df
@@ -344,22 +335,21 @@ def gof_report(
     return report
 
 
-def fit_family(family: GeneratorFamily, data: EmpiricalData, opts: FitOptions | None = None) -> FitReport:
+def fit_family(kind: FamilyKind, data: EmpiricalData, opts: FitOptions | None = None) -> FitReport:
     """Fit a family to data (explicit for L and L', IPFP otherwise) and attach GOF."""
     r = empirical(data)
-    kind, inverted = defining_family(family.kind)
-    if kind is FamilyKind.L:
+    defining, inverted = defining_family(kind)
+    if defining is FamilyKind.L:
         base = explicit_L_mle(r, primed=inverted)
     else:
-        base = ipfp_fit(family, r, opts)
-    return gof_report(base.fitted, data, family, base)
+        base = ipfp_fit(kind, r, opts)
+    return gof_report(base.fitted, data, kind, base)
 
 
-def _fit_loglik(family: GeneratorFamily, counts: np.ndarray, opts: FitOptions) -> float:
+def _fit_loglik(kind: FamilyKind, data: EmpiricalData, opts: FitOptions) -> float:
     """The log-likelihood that fit_family reports for an IPFP family, without
     the rest of its report."""
-    data = EmpiricalData(family.n, counts)
-    return _counts_loglik(counts, ipfp_fit(family, empirical(data), opts).fitted.probs)
+    return _counts_loglik(data.counts, ipfp_fit(kind, empirical(data), opts).fitted.probs)
 
 
 def _invariance_generators(n: int) -> tuple[Perm, Perm]:
@@ -434,7 +424,7 @@ def _chain_edge_logliks(counts: np.ndarray, n: int) -> np.ndarray:
 
 def search_relabelling(
     data: EmpiricalData,
-    family: GeneratorFamily,
+    kind: FamilyKind,
     side: SearchSide = SearchSide.BOTH,
     opts: FitOptions | None = None,
 ) -> tuple[Perm, Perm, FitReport]:
@@ -453,11 +443,11 @@ def search_relabelling(
     """
     opts = opts or FitOptions()
     n = data.n
-    ignored = FAMILIES[family.kind].ignored
-    kind, inverted = defining_family(family.kind)
+    ignored = FAMILIES[kind].ignored
+    defining, inverted = defining_family(kind)
     asked = (SearchSide.RIGHT, SearchSide.LEFT) if side is SearchSide.BOTH else (side,)
     searched = [s for s in asked if s not in ignored]
-    closed_form = kind is FamilyKind.L
+    closed_form = defining is FamilyKind.L
     if len(searched) == 2 and n > 6:
         raise SizeError("two-sided search capped at n=6")
     if len(searched) == 1 and n > 7 and not closed_form:
@@ -475,12 +465,13 @@ def search_relabelling(
         weights = _chain_edge_logliks(counts, n)
         keys = weights[edge_keys(n)[inverse_index(n)[reps]]].sum(axis=1).tolist()
     else:
-        keys = (_fit_loglik(family, data.counts[relabel_index(n, *pair)], opts) for pair in pairs)
+        relabelled = (EmpiricalData(n, data.counts[relabel_index(n, *pair)]) for pair in pairs)
+        keys = (_fit_loglik(kind, d, opts) for d in relabelled)
     best = None
     for key, pair in zip(keys, pairs):
         if best is None or key > best[0] + opts.marginal_tol * max(1.0, abs(best[0])):
             best = (key, pair)
     sigma, rho = best[1]
-    report = fit_family(family, EmpiricalData(n, data.counts[relabel_index(n, sigma, rho)]), opts)
+    report = fit_family(kind, EmpiricalData(n, data.counts[relabel_index(n, sigma, rho)]), opts)
     report.relabelling = (sigma, rho)
     return sigma, rho, report

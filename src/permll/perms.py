@@ -193,6 +193,8 @@ class SetPartition:
 
     def atom_of(self, x: int) -> int:
         """Index of the atom containing element x."""
+        if not 1 <= x <= self.n:
+            raise ValidationError(f"element {x} outside 1..{self.n}")
         return self._labels[x - 1]
 
     @classmethod

@@ -26,6 +26,7 @@ from .perms import (
     inverse_index,
     lattice_levels,
     perm_array,
+    perm_index,
     prefix_members,
 )
 
@@ -42,15 +43,6 @@ class FamilyKind(str, Enum):
     QUASI_INDEPENDENCE = "qi"
     SATURATED = "saturated"
     UNIFORM = "uniform"
-
-
-@dataclass(frozen=True)
-class GeneratorFamily:
-    kind: FamilyKind
-    n: int
-
-    def __post_init__(self):
-        check_size(self.n)
 
 
 class SectionKind(Enum):
@@ -200,10 +192,11 @@ def defining_family(kind: FamilyKind) -> tuple[FamilyKind, bool]:
     return (kind, False) if mirror is None else (mirror, True)
 
 
-def generators(family: GeneratorFamily) -> list[ProductPartition]:
-    """The concrete product-partition generators of a family."""
-    kind, inverted = defining_family(family.kind)
-    boards = FAMILIES[kind].boards(family.n)
+def generators(kind: FamilyKind, n: int) -> list[ProductPartition]:
+    """The concrete product-partition generators of a family on S_n."""
+    check_size(n)
+    kind, inverted = defining_family(kind)
+    boards = FAMILIES[kind].boards(n)
     return [ProductPartition(b.cols, b.rows) for b in boards] if inverted else boards
 
 
@@ -214,31 +207,22 @@ def stats_aq(pi: Perm, k: int, ell: int) -> tuple[int, int]:
     quadrant toward which the rooks on the k-th row and ell-th column point,
     and q = 5 means the single rook pi(k) = ell.
     """
-    n = len(pi)
-    if not (1 <= k <= n and 1 <= ell <= n):
-        raise ValidationError(f"(k, ell)=({k}, {ell}) outside 1..{n}")
-    a = sum(1 for i in range(k) if pi[i] <= ell)
-    row_val = pi[k - 1]
-    if row_val == ell:
-        return a, 5
-    col_pos = pi.index(ell) + 1
-    if row_val > ell:
-        q = 1 if col_pos < k else 4
-    else:
-        q = 2 if col_pos < k else 3
-    return a, q
+    index = perm_index(pi)
+    a, q = _stats_aq_all(len(pi), k, ell)
+    return int(a[index]), int(q[index])
 
 
 @lru_cache(maxsize=None)
 def _stats_aq_all(n: int, k: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """stats_aq of every permutation, in index order, as two read-only arrays."""
+    """stats_aq of every permutation, in index order, as two read-only int8 arrays
+    (int8 keeps the cache of all (k, ell) at n = 9 near 60 MB)."""
     perms = perm_array(n)
     if not (1 <= k <= n and 1 <= ell <= n):
         raise ValidationError(f"(k, ell)=({k}, {ell}) outside 1..{n}")
-    a = (perms[:, :k] <= ell).sum(axis=1, dtype=np.int64)
+    a = (perms[:, :k] <= ell).sum(axis=1, dtype=np.int8)
     row_val = perms[:, k - 1]
     before = perms[inverse_index(n), ell - 1] < k  # column ell's rook lies above row k
-    q = np.where(row_val > ell, np.where(before, 1, 4), np.where(before, 2, 3))
+    q = np.where(row_val > ell, np.where(before, 1, 4), np.where(before, 2, 3)).astype(np.int8)
     q[row_val == ell] = 5
     a.setflags(write=False)
     q.setflags(write=False)
@@ -344,9 +328,10 @@ def rho5_basis_labels(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def formula_dimension(family: GeneratorFamily) -> int:
-    """Closed-form number of free parameters of a family."""
-    return FAMILIES[defining_family(family.kind)[0]].dim(family.n)
+def formula_dimension(kind: FamilyKind, n: int) -> int:
+    """Closed-form number of free parameters of a family on S_n."""
+    check_size(n)
+    return FAMILIES[defining_family(kind)[0]].dim(n)
 
 
 @lru_cache(maxsize=None)
@@ -409,14 +394,14 @@ def span_matrix(boards: list[ProductPartition], n: int) -> np.ndarray:
     return np.hstack([indicator_columns(b, n) for b in boards])
 
 
-def rank_dimension(family: GeneratorFamily) -> int:
+def rank_dimension(kind: FamilyKind, n: int) -> int:
     """Free parameters by exact rank of the generator indicator span (minus the constant)."""
-    if family.n > RANK_MAX_N:
-        raise SizeError(f"rank oracle capped at n={RANK_MAX_N}, got {family.n}")
-    boards = generators(family)
+    if n > RANK_MAX_N:
+        raise SizeError(f"rank oracle capped at n={RANK_MAX_N}, got {n}")
+    boards = generators(kind, n)
     if not boards:  # l_s, l_s' and bi_s at n = 1: the one-cell table alone
         return 0
-    return exact_rank(span_matrix(boards, family.n)) - 1
+    return exact_rank(span_matrix(boards, n)) - 1
 
 
 def subspace_intersection_dim(k: int, ell: int, n: int) -> int:
@@ -447,9 +432,7 @@ class DimensionReport:
         }
 
 
-def dimension_report(family: GeneratorFamily, compute_rank: bool = True) -> DimensionReport:
-    formula = formula_dimension(family)
-    rank = None
-    if compute_rank and family.n <= RANK_MAX_N:
-        rank = rank_dimension(family)
-    return DimensionReport(family.kind, family.n, formula, rank, rank if rank is not None else formula)
+def dimension_report(kind: FamilyKind, n: int, compute_rank: bool = True) -> DimensionReport:
+    formula = formula_dimension(kind, n)
+    rank = rank_dimension(kind, n) if compute_rank and n <= RANK_MAX_N else None
+    return DimensionReport(kind, n, formula, rank, rank if rank is not None else formula)

@@ -39,7 +39,7 @@ from permll.perms import (
     enumerate_permutations,
     inverse,
 )
-from permll.subspaces import FamilyKind, GeneratorFamily, atom_labels as array_atom_labels, generators
+from permll.subspaces import FamilyKind, atom_labels as array_atom_labels, generators
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +117,7 @@ def relabelled_counts(data: EmpiricalData, sigma: Perm, rho: Perm) -> EmpiricalD
 
 
 def relabelled_logliks(
-    data: EmpiricalData, family: GeneratorFamily, side: SearchSide, opts: FitOptions | None = None
+    data: EmpiricalData, kind: FamilyKind, side: SearchSide, opts: FitOptions | None = None
 ) -> dict[tuple[Perm, Perm], float]:
     """fit_family's log-likelihood of every pair (sigma, rho) that a search on
     side may return, in lexicographic order: all n! permutations on each
@@ -130,7 +130,7 @@ def relabelled_logliks(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return {
-            (sigma, rho): fit_family(family, relabelled_counts(data, sigma, rho), opts).log_likelihood
+            (sigma, rho): fit_family(kind, relabelled_counts(data, sigma, rho), opts).log_likelihood
             for sigma in sigmas
             for rho in rhos
         }
@@ -138,7 +138,7 @@ def relabelled_logliks(
 
 def exhaustive_search(
     data: EmpiricalData,
-    family: GeneratorFamily,
+    kind: FamilyKind,
     side: SearchSide,
     opts: FitOptions | None = None,
     logliks: dict | None = None,
@@ -148,11 +148,11 @@ def exhaustive_search(
     logliks, if given, is relabelled_logliks of the same arguments."""
     opts = opts or FitOptions()
     best = None
-    for pair, key in (logliks or relabelled_logliks(data, family, side, opts)).items():
+    for pair, key in (logliks or relabelled_logliks(data, kind, side, opts)).items():
         if best is None or key > best[0] + opts.marginal_tol * max(1.0, abs(best[0])):
             best = (key, pair)
     sigma, rho = best[1]
-    report = fit_family(family, relabelled_counts(data, sigma, rho), opts)
+    report = fit_family(kind, relabelled_counts(data, sigma, rho), opts)
     report.relabelling = (sigma, rho)
     return sigma, rho, report
 
@@ -407,14 +407,12 @@ def rectangle_violation(
     return worst
 
 
-def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | None = None) -> FitReport:
+def ipfp_fit(kind: FamilyKind, r: DistributionTable, opts: FitOptions | None = None) -> FitReport:
     """Iterative proportional fitting: cycle over the family's generators,
     rescaling each block-count atom to the empirical atom mass."""
     opts = opts or FitOptions()
-    if r.n != family.n:
-        raise SizeError(f"table for n={r.n} but family for n={family.n}")
-    gens = generators(family)
-    labels = [array_atom_labels(board, family.n) for board in gens]
+    gens = generators(kind, r.n)
+    labels = [array_atom_labels(board, r.n) for board in gens]
     emp = [np.bincount(lab, weights=r.probs, minlength=k) for lab, k in labels]
     p = np.full(len(r.probs), 1.0 / len(r.probs))
 
@@ -434,11 +432,10 @@ def ipfp_fit(family: GeneratorFamily, r: DistributionTable, opts: FitOptions | N
         trace.append(_r_loglik(r.probs, p))
         if gap <= opts.marginal_tol:
             break
-    fitted = DistributionTable(family.n, p)
+    fitted = DistributionTable(r.n, p)
     return FitReport(
         fitted=fitted,
-        family=family.kind,
-        n=family.n,
+        family=kind,
         log_likelihood=trace[-1],
         cycles_used=cycles,
         converged=gap <= opts.marginal_tol,
@@ -469,7 +466,6 @@ def alternating_fit(r: DistributionTable, max_cycles: int = 10000, likelihood_to
     return FitReport(
         fitted=p,
         family=FamilyKind.BI,
-        n=r.n,
         log_likelihood=trace[-1],
         cycles_used=cycles,
         converged=converged,

@@ -21,7 +21,6 @@ from permll import (
     DistributionTable,
     EmpiricalData,
     FamilyKind,
-    GeneratorFamily,
     IndependenceMode,
     all_consecutive_sections,
     basis_vector,
@@ -97,8 +96,7 @@ def qi_theta(n):
 def test_criterion_01_dimension_agreement():
     for n in (3, 4, 5, 6):
         for kind in DECOMPOSABLE:
-            family = GeneratorFamily(kind, n)
-            assert rank_dimension(family) == formula_dimension(family), (kind, n)
+            assert rank_dimension(kind, n) == formula_dimension(kind, n), (kind, n)
     report(1, "dimension agreement n=3..6")
 
 
@@ -113,7 +111,7 @@ def test_criterion_02_df_column():
         (FamilyKind.UNIFORM, 119),
     ]
     for kind, df in expect:
-        assert 119 - formula_dimension(GeneratorFamily(kind, 5)) == df
+        assert 119 - formula_dimension(kind, 5) == df
     report(2, "df column for n=5")
 
 
@@ -155,13 +153,13 @@ def test_criterion_04_basis_audits():
             basis_vector(BasisKind.NU, k, ell, a, None, n).coords
             for k, ell, a in nu_basis_labels(n)
         ]
-        e_n = formula_dimension(GeneratorFamily(FamilyKind.BI_S, n))
+        e_n = formula_dimension(FamilyKind.BI_S, n)
         assert exact_rank(np.vstack(nus + [ones])) == e_n + 1
         rho5 = [
             basis_vector(BasisKind.RHO, k, ell, a, 5, n).coords
             for k, ell, a in rho5_basis_labels(n)
         ]
-        d_n = formula_dimension(GeneratorFamily(FamilyKind.BI, n))
+        d_n = formula_dimension(FamilyKind.BI, n)
         assert exact_rank(np.vstack(nus + rho5 + [ones])) == d_n + 1
     report(4, "basis orthogonality and rank audits n<=5")
 
@@ -174,10 +172,9 @@ def test_criterion_05_ipfp_correctness():
                 ClassicSpec(ClassicKind.QUASI_INDEPENDENCE, {"theta": qi_theta(n)}), n
             ),
         ]
-        family = GeneratorFamily(FamilyKind.BI, n)
-        span = span_matrix(generators(family), n).astype(float)
+        span = span_matrix(generators(FamilyKind.BI, n), n).astype(float)
         for p in models:
-            rep = ipfp_fit(family, p)
+            rep = ipfp_fit(FamilyKind.BI, p)
             assert rep.converged and rep.cycles_used <= 10000
             assert rep.max_marginal_gap <= 1e-9
             trace = np.array(rep.loglik_trace)
@@ -195,7 +192,7 @@ def test_criterion_06_explicit_vs_iterative():
         counts = rng.multinomial(m, rng.dirichlet(np.ones(24)))
         r = empirical(EmpiricalData(4, counts))
         a = explicit_L_mle(r)
-        b = ipfp_fit(GeneratorFamily(FamilyKind.L, 4), r)
+        b = ipfp_fit(FamilyKind.L, r)
         assert abs(a.log_likelihood - b.log_likelihood) <= 1e-6 * m
     report(6, "explicit vs iterative L fits, 20 seeds")
 
@@ -334,10 +331,10 @@ def test_criterion_10_apa_reproduction():
         pytest.skip("external APA counts file not provided")
     data = parse_counts(path)
     assert data.n == 5
-    saturated = fit_family(GeneratorFamily(FamilyKind.SATURATED, 5), data)
+    saturated = fit_family(FamilyKind.SATURATED, data)
     assert abs(saturated.log_likelihood - (-26612)) <= 1.0
     _, _, best = search_relabelling(
-        data, GeneratorFamily(FamilyKind.L, 5), SearchSide.RIGHT
+        data, FamilyKind.L, SearchSide.RIGHT
     )
     assert abs(best.gof_chi_square - 98.9) <= 0.5
     report(10, "APA reproduction")

@@ -9,7 +9,7 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from permll import EmpiricalData, FamilyKind
+from permll import EmpiricalData, FamilyKind, formula_dimension
 from permll.cli import _plain_records, main, parse_counts, write_counts
 from permll.errors import ParseError, PermllError, ValidationError
 from permll.fit import INT64_MAX
@@ -106,6 +106,14 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         jsonschema.validate(doc, schema)
         assert (doc["formula_dim"], doc["rank_dim"], doc["free_parameters"]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda kind: kind.value)
+    def test_dims_no_rank_reports_the_closed_form(self, capsys, schema, kind):
+        assert main(["dims", "--family", kind.value, "--n", "5", "--no-rank", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, schema)
+        assert doc["rank_dim"] is None
+        assert doc["free_parameters"] == doc["formula_dim"] == formula_dimension(kind, 5)
 
     def test_dims_json_validates(self, capsys, schema):
         assert main(["dims", "--family", "bi", "--n", "5", "--json"]) == 0
@@ -240,11 +248,14 @@ COUNTS2 = "n=2\n1 2,3\n2 1,1\n"
          "a.counts: not a UTF-8 counts file"),
         ({"a.counts": COUNTS2}, ["fit", "--family", "nope", "--data", "@a.counts"], "unknown family 'nope'"),
         ({}, ["dims", "--family", "l", "--n", "10"], "board size 10 outside 1..9"),
+        ({}, ["dims", "--family", "l", "--n", "0"], "board size 0 outside 1..9"),
+        # the draw array would exceed the address space, so numpy refuses it without allocating
+        ({"s.json": MBT4}, ["sample", "--spec", "@s.json", "--m", "1000000000000000"], "Unable to allocate"),
     ],
     ids=["not-json", "not-utf8", "not-an-object", "alpha-abc", "ragged-alpha", "theta-scalar",
          "n-float", "n-bool", "negative-seed", "check-tol-nan", "check-tol-inf", "fit-tol-nan", "fit-tol-inf",
          "count-beyond-int64", "total-beyond-int64", "merged-count-beyond-int64", "counts-not-utf8",
-         "unknown-family", "board-size-10"],
+         "unknown-family", "board-size-10", "board-size-0", "m-beyond-memory"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, files, argv, says):
     for name, body in files.items():

@@ -9,7 +9,6 @@ from permll import (
     DistributionTable,
     FamilyKind,
     FitOptions,
-    GeneratorFamily,
     IndependenceMode,
     LambdaDecomposition,
     all_consecutive_sections,
@@ -95,6 +94,14 @@ class TestLambda:
         for x in (0, 5):
             with pytest.raises(ValidationError):
                 lam.get(x, {1})
+
+    def test_get_rejects_a_prefix_that_is_not_a_set_of_elements(self):
+        # a mask built from 0, 7 or a repeated element would shift negatively,
+        # index past the array or read another prefix set's weight
+        lam = canonical_lambda(DistributionTable.uniform(4))
+        for prefix in ({0}, {7}, {-1}, [1, 1], (2, 3, 2)):
+            with pytest.raises(ValidationError):
+                lam.get(2, prefix)
 
     def test_markovianize_idempotent(self):
         p = random_table(4, 3)
@@ -199,8 +206,7 @@ class TestConditionalIndependence:
 
 def bi_member(n, seed):
     """A few IPFP cycles from uniform toward a Dirichlet table: every iterate lies in BI."""
-    family = GeneratorFamily(FamilyKind.BI, n)
-    return ipfp_fit(family, random_table(n, seed), FitOptions(max_cycles=3)).fitted
+    return ipfp_fit(FamilyKind.BI, random_table(n, seed), FitOptions(max_cycles=3)).fitted
 
 
 class TestCharacterisationAtFive:

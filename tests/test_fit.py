@@ -12,7 +12,6 @@ from permll import (
     EmpiricalData,
     FamilyKind,
     FitOptions,
-    GeneratorFamily,
     SearchSide,
     classic_distribution,
     compose,
@@ -75,18 +74,18 @@ class TestEmpirical:
 class TestIpfp:
     def test_uniform_fixed_point(self):
         r = DistributionTable.uniform(4)
-        rep = ipfp_fit(GeneratorFamily(FamilyKind.BI, 4), r)
+        rep = ipfp_fit(FamilyKind.BI, r)
         assert rep.converged and rep.cycles_used == 1
         assert np.abs(rep.fitted.probs - r.probs).max() < 1e-15
 
     def test_saturated_returns_input(self):
         r = empirical(random_counts(4, 0))
-        rep = ipfp_fit(GeneratorFamily(FamilyKind.SATURATED, 4), r)
+        rep = ipfp_fit(FamilyKind.SATURATED, r)
         assert np.abs(rep.fitted.probs - r.probs).max() < 1e-12
 
     def test_likelihood_monotone(self):
         r = empirical(random_counts(4, 1))
-        rep = ipfp_fit(GeneratorFamily(FamilyKind.BI, 4), r)
+        rep = ipfp_fit(FamilyKind.BI, r)
         trace = np.array(rep.loglik_trace)
         assert (np.diff(trace) >= -1e-10).all()
 
@@ -94,10 +93,9 @@ class TestIpfp:
         from permll.subspaces import atom_labels
 
         r = empirical(random_counts(4, 2))
-        family = GeneratorFamily(FamilyKind.L, 4)
-        rep = ipfp_fit(family, r)
+        rep = ipfp_fit(FamilyKind.L, r)
         assert rep.converged
-        for board in generators(family):
+        for board in generators(FamilyKind.L, 4):
             labels, natoms = atom_labels(board, 4)
             emp = np.bincount(labels, weights=r.probs, minlength=natoms)
             fit = np.bincount(labels, weights=rep.fitted.probs, minlength=natoms)
@@ -107,7 +105,7 @@ class TestIpfp:
         p = classic_distribution(
             ClassicSpec(ClassicKind.MBT, {"alpha": [0.4, 0.3, 0.2, 0.1]}), 4
         )
-        rep = ipfp_fit(GeneratorFamily(FamilyKind.BI, 4), p)
+        rep = ipfp_fit(FamilyKind.BI, p)
         assert np.abs(rep.fitted.probs - p.probs).max() < 1e-9
 
     def test_structural_zeros_stay_zero(self):
@@ -115,21 +113,16 @@ class TestIpfp:
         counts[0] = 5
         counts[7] = 5
         r = empirical(EmpiricalData(4, counts))
-        rep = ipfp_fit(GeneratorFamily(FamilyKind.SATURATED, 4), r)
+        rep = ipfp_fit(FamilyKind.SATURATED, r)
         assert rep.fitted.probs[1] == 0.0
 
     def test_log_fitted_in_generator_span(self):
         r = empirical(random_counts(4, 3))
-        family = GeneratorFamily(FamilyKind.BI, 4)
-        rep = ipfp_fit(family, r)
+        rep = ipfp_fit(FamilyKind.BI, r)
         logs = np.log(rep.fitted.probs)
-        span = span_matrix(generators(family), 4).astype(float)
+        span = span_matrix(generators(FamilyKind.BI, 4), 4).astype(float)
         resid = logs - span @ np.linalg.lstsq(span, logs, rcond=None)[0]
         assert np.abs(resid).max() < 1e-6
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeError):
-            ipfp_fit(GeneratorFamily(FamilyKind.L, 3), DistributionTable.uniform(4))
 
 
 class TestExplicit:
@@ -150,7 +143,7 @@ class TestExplicit:
         for seed in range(20):
             r = empirical(random_counts(4, 100 + seed, m=500))
             a = explicit_L_mle(r)
-            b = ipfp_fit(GeneratorFamily(FamilyKind.L, 4), r)
+            b = ipfp_fit(FamilyKind.L, r)
             assert abs(a.log_likelihood - b.log_likelihood) <= 1e-6
 
     def test_primed_is_inverse_conjugation(self):
@@ -166,7 +159,7 @@ class TestAlternating:
     def test_agrees_with_ipfp_bi(self):
         r = empirical(random_counts(4, 6))
         a = oracles.alternating_fit(r)
-        b = ipfp_fit(GeneratorFamily(FamilyKind.BI, 4), r)
+        b = ipfp_fit(FamilyKind.BI, r)
         assert abs(a.log_likelihood - b.log_likelihood) <= 1e-4
 
     def test_bi_input_is_fixed_point(self):
@@ -192,7 +185,7 @@ class TestGof:
         data = random_counts(5, 7, m=10000)
         fitted = DistributionTable.uniform(5)
         for kind, df in expect.items():
-            rep = gof_report(fitted, data, GeneratorFamily(kind, 5))
+            rep = gof_report(fitted, data, kind)
             assert rep.df == df
             if rep.df > 0:
                 assert rep.u_statistic == pytest.approx(
@@ -202,30 +195,29 @@ class TestGof:
     def test_quasi_independence_df_past_the_rank_cap(self):
         # QI's df comes from its closed form, so it needs no rank oracle at n = 8
         data = random_counts(8, 9, m=500)
-        family = GeneratorFamily(FamilyKind.QUASI_INDEPENDENCE, 8)
-        assert gof_report(DistributionTable.uniform(8), data, family).df == 40319 - 49
+        assert gof_report(DistributionTable.uniform(8), data, FamilyKind.QUASI_INDEPENDENCE).df == 40319 - 49
 
     def test_support_mismatch(self):
         data = EmpiricalData.from_dict(3, {(1, 2, 3): 5, (3, 2, 1): 5})
         fitted = DistributionTable.point_mass((1, 2, 3))
         with pytest.raises(SupportMismatchError):
-            gof_report(fitted, data, GeneratorFamily(FamilyKind.SATURATED, 3))
+            gof_report(fitted, data, FamilyKind.SATURATED)
 
     def test_saturated_df_zero_and_no_u(self):
         data = random_counts(3, 8, m=60000)
-        rep = fit_family(GeneratorFamily(FamilyKind.SATURATED, 3), data)
+        rep = fit_family(FamilyKind.SATURATED, data)
         assert rep.df == 0 and rep.u_statistic is None
         assert rep.gof_chi_square == pytest.approx(0.0, abs=1e-9)
 
     def test_counts_loglikelihood(self):
         data = EmpiricalData.from_dict(2, {(1, 2): 3, (2, 1): 1})
         fitted = DistributionTable(2, np.array([0.75, 0.25]))
-        rep = gof_report(fitted, data, GeneratorFamily(FamilyKind.SATURATED, 2))
+        rep = gof_report(fitted, data, FamilyKind.SATURATED)
         assert rep.log_likelihood == pytest.approx(3 * math.log(0.75) + math.log(0.25))
 
     def test_report_json_keys(self):
         data = random_counts(3, 9, m=60000)
-        rep = fit_family(GeneratorFamily(FamilyKind.L, 3), data)
+        rep = fit_family(FamilyKind.L, data)
         doc = rep.to_json()
         assert set(doc) == {
             "family", "n", "log_likelihood", "gof", "df", "u",
@@ -245,7 +237,7 @@ class TestRelabelling:
         counts = np.full(24, 10, dtype=np.int64)
         data = EmpiricalData(4, counts)
         sigma, rho, _ = search_relabelling(
-            data, GeneratorFamily(FamilyKind.L, 4), SearchSide.BOTH
+            data, FamilyKind.L, SearchSide.BOTH
         )
         assert sigma == identity(4) and rho == identity(4)
 
@@ -262,7 +254,7 @@ class TestRelabelling:
         assert counts.sum() == 512
         data = EmpiricalData(4, counts)
         sigma, rho, rep = search_relabelling(
-            data, GeneratorFamily(FamilyKind.L, 4), SearchSide.BOTH
+            data, FamilyKind.L, SearchSide.BOTH
         )
         assert rho == identity(4)
         assert sigma in right_invariance_group(4)
@@ -288,7 +280,7 @@ class TestRelabelling:
                 perm_index(compose(compose(inverse(rho0), tau), sigma0))
             ]
         sdata = EmpiricalData(4, scrambled)
-        family = GeneratorFamily(FamilyKind.BI, 4)
+        family = FamilyKind.BI
         sigma, rho, rep = search_relabelling(sdata, family, SearchSide.BOTH)
         assert sigma == identity(4) and rho == identity(4)
         base = fit_family(family, data)
@@ -307,7 +299,7 @@ class TestRelabelling:
         )
         data = EmpiricalData(5, counts[relabel_index(5, (3, 1, 4, 5, 2), (2, 4, 1, 5, 3))])
         for kind in (FamilyKind.L, FamilyKind.L_PRIME):
-            sigma, rho, _ = search_relabelling(data, GeneratorFamily(kind, 5), SearchSide.BOTH)
+            sigma, rho, _ = search_relabelling(data, kind, SearchSide.BOTH)
             assert sigma == rho == identity(5), kind
 
     def test_two_sided_ties_go_to_the_smaller_sigma(self):
@@ -317,7 +309,7 @@ class TestRelabelling:
         counts = rng.multinomial(2000, rng.dirichlet(np.ones(24)))
         inverted = [perm_index(inverse(pi)) for pi in enumerate_permutations(4)]
         data = EmpiricalData(4, counts + counts[inverted])
-        family = GeneratorFamily(FamilyKind.BI, 4)
+        family = FamilyKind.BI
         sigma, rho, rep = search_relabelling(data, family, SearchSide.BOTH)
         assert sigma < rho
         mirrored = EmpiricalData(4, data.counts[relabel_index(4, rho, sigma)])
@@ -326,7 +318,7 @@ class TestRelabelling:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_scrambled_bi_member_recovered_up_to_invariance(self, seed):
         # a generic BI member: the BI projection of a Dirichlet table
-        family = GeneratorFamily(FamilyKind.BI, 4)
+        family = FamilyKind.BI
         rng = np.random.default_rng(seed)
         p = ipfp_fit(family, DistributionTable(4, rng.dirichlet(np.ones(24)))).fitted
         counts = np.rint(p.probs * 1e6).astype(np.int64)
@@ -351,18 +343,17 @@ class TestRelabelling:
             theta /= theta.sum(axis=0, keepdims=True)
         spec = ClassicSpec(ClassicKind.QUASI_INDEPENDENCE, {"theta": theta.tolist()})
         data = sample(classic_distribution(spec, 5), 1000, 0)
-        qi, ls = GeneratorFamily(FamilyKind.QUASI_INDEPENDENCE, 5), GeneratorFamily(FamilyKind.L_S, 5)
-        assert search_relabelling(data, qi, SearchSide.RIGHT)[0] == identity(5)
-        assert search_relabelling(data, ls, SearchSide.LEFT)[1] == identity(5)
+        assert search_relabelling(data, FamilyKind.QUASI_INDEPENDENCE, SearchSide.RIGHT)[0] == identity(5)
+        assert search_relabelling(data, FamilyKind.L_S, SearchSide.LEFT)[1] == identity(5)
 
     def test_size_caps(self):
         counts = np.full(math.factorial(7), 1, dtype=np.int64)
         data = EmpiricalData(7, counts)
         with pytest.raises(SizeError):
-            search_relabelling(data, GeneratorFamily(FamilyKind.BI, 7), SearchSide.BOTH)
+            search_relabelling(data, FamilyKind.BI, SearchSide.BOTH)
         data = EmpiricalData(8, np.full(math.factorial(8), 1, dtype=np.int64))
         with pytest.raises(SizeError):
-            search_relabelling(data, GeneratorFamily(FamilyKind.BI_S, 8), SearchSide.RIGHT)
+            search_relabelling(data, FamilyKind.BI_S, SearchSide.RIGHT)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_searches_past_the_fit_caps_at_n8(self):
@@ -375,26 +366,24 @@ class TestRelabelling:
             (FamilyKind.L_S, SearchSide.LEFT),
             (FamilyKind.QUASI_INDEPENDENCE, SearchSide.BOTH),
         ):
-            family = GeneratorFamily(kind, 8)
-            sigma, rho, rep = search_relabelling(data, family, side)
+            sigma, rho, rep = search_relabelling(data, kind, side)
             assert (sigma == ident) == (kind is not FamilyKind.L)
             assert (rho == ident) == (kind is not FamilyKind.L_PRIME)
             relabelled = EmpiricalData(8, data.counts[relabel_index(8, sigma, rho)])
-            base = fit_family(family, data)
-            assert rep.log_likelihood == fit_family(family, relabelled).log_likelihood
+            base = fit_family(kind, data)
+            assert rep.log_likelihood == fit_family(kind, relabelled).log_likelihood
             assert rep.log_likelihood >= base.log_likelihood - 1e-9 * abs(base.log_likelihood)
 
     def test_warnings_come_from_the_winner_only(self):
         # sparse counts: most candidates' fits have cells with expected count below 5
         data = random_counts(5, 11, m=300)
         for kind in (FamilyKind.L, FamilyKind.BI):
-            family = GeneratorFamily(kind, 5)
             with warnings.catch_warnings(record=True) as searched:
                 warnings.simplefilter("always")
-                sigma, rho, _ = search_relabelling(data, family, SearchSide.RIGHT)
+                sigma, rho, _ = search_relabelling(data, kind, SearchSide.RIGHT)
             with warnings.catch_warnings(record=True) as winner:
                 warnings.simplefilter("always")
-                fit_family(family, EmpiricalData(5, data.counts[relabel_index(5, sigma, rho)]))
+                fit_family(kind, EmpiricalData(5, data.counts[relabel_index(5, sigma, rho)]))
             assert 1 <= len(searched) <= len(winner)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -411,10 +400,9 @@ class TestRelabelling:
             # support, so that every fit converges
             counts[rng.permutation(120)[:40]] = 0
         data = EmpiricalData(5, counts)
-        family = GeneratorFamily(kind, 5)
         group = right_invariance_group(5)
         for side in (SearchSide.RIGHT, SearchSide.LEFT):
-            logliks = oracles.relabelled_logliks(data, family, side)
+            logliks = oracles.relabelled_logliks(data, kind, side)
             moved = 0 if side is SearchSide.RIGHT else 1
             tol = 1e-9 * max(1.0, max(abs(v) for v in logliks.values()))
             if side in FAMILIES[kind].ignored:
@@ -427,6 +415,6 @@ class TestRelabelling:
                         member[moved] = compose(g, pair[moved])
                     orbits.append([logliks[tuple(member)] for member in orbit])
             assert max(max(o) - min(o) for o in orbits) <= tol, side
-            sigma, rho, rep = search_relabelling(data, family, side)
-            want = oracles.exhaustive_search(data, family, side, logliks=logliks)
+            sigma, rho, rep = search_relabelling(data, kind, side)
+            want = oracles.exhaustive_search(data, kind, side, logliks=logliks)
             assert (sigma, rho, rep.log_likelihood) == (want[0], want[1], want[2].log_likelihood), side

@@ -16,7 +16,6 @@ from permll import (
     EmpiricalData,
     FamilyKind,
     FitOptions,
-    GeneratorFamily,
     ProductPartition,
     SectionKind,
     SetPartition,
@@ -125,14 +124,14 @@ def test_decomposability_violations_match_the_loops(p):
 def test_atom_labels_match_the_loop_for_every_board():
     for n in range(1, 7):
         for kind in FamilyKind:
-            for board in generators(GeneratorFamily(kind, n)):
+            for board in generators(kind, n):
                 labels, natoms = atom_labels(board, n)
                 want, want_natoms = oracles.atom_labels(board, n)
                 assert natoms == want_natoms, (kind, n, str(board))
                 assert (labels == want).all(), (kind, n, str(board))
     # At n = 8 the saturated key has 64 binary digits, so it is compressed on
     # the way; its atoms are the permutation matrices, the identity's largest.
-    labels, natoms = atom_labels(generators(GeneratorFamily(FamilyKind.SATURATED, 8))[0], 8)
+    labels, natoms = atom_labels(generators(FamilyKind.SATURATED, 8)[0], 8)
     assert natoms == 40320 and (labels == np.arange(40320)[::-1]).all()
 
 
@@ -144,8 +143,7 @@ def test_lattice_ipfp_matches_the_cell_loop(p):
     # n = 1); the cap keeps the slowest sparse fits short, and both stop at it
     opts = FitOptions(max_cycles=500)
     for kind in FamilyKind:
-        family = GeneratorFamily(kind, p.n)
-        got, want = ipfp_fit(family, p, opts), oracles.ipfp_fit(family, p, opts)
+        got, want = ipfp_fit(kind, p, opts), oracles.ipfp_fit(kind, p, opts)
         assert (got.cycles_used, got.converged) == (want.cycles_used, want.converged), kind
         assert np.abs(got.fitted.probs - want.fitted.probs).max() <= 1e-12, kind
         assert abs(got.max_marginal_gap - want.max_marginal_gap) <= 1e-12, kind
@@ -161,7 +159,7 @@ def test_edge_atoms_are_the_cell_atoms():
         position = np.zeros(n << n, dtype=np.int64)
         position[key] = np.arange(len(key))
         for kind in FamilyKind:
-            for board in generators(GeneratorFamily(kind, n)):
+            for board in generators(kind, n):
                 for b in (board, ProductPartition(board.cols, board.rows)):
                     cells, natoms = atom_labels(b, n)
                     for k in range(n):
@@ -242,9 +240,8 @@ def test_search_matches_the_loop():
     rng = np.random.default_rng(4)
     data = EmpiricalData(4, rng.multinomial(500, rng.dirichlet(np.ones(24))))
     for kind in FamilyKind:
-        family = GeneratorFamily(kind, 4)
         for side in SearchSide:
-            sigma, rho, report = search_relabelling(data, family, side)
-            want = oracles.exhaustive_search(data, family, side)
+            sigma, rho, report = search_relabelling(data, kind, side)
+            want = oracles.exhaustive_search(data, kind, side)
             got = (sigma, rho, report.log_likelihood)
             assert got == (want[0], want[1], want[2].log_likelihood), (kind, side)

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ from permll import (
 from permll.errors import SizeError, ValidationError
 from oracles import marginal, unordered_marginal
 from permll.perms import check_permutation, edge_keys, lattice_levels
+
+
+def test_package_exports_no_module():
+    import permll
+
+    for name in permll.__all__:
+        assert not isinstance(getattr(permll, name), types.ModuleType), name
 
 
 def random_perm(draw_n, seed):
@@ -88,6 +96,12 @@ class TestPartitions:
         assert part.size == 2
         assert str(part) == "1,2|3,4,5"
         assert part.atom_of(4) == 1
+
+    def test_atom_of_rejects_an_element_outside_the_board(self):
+        part = SetPartition([[1, 2], [3]])
+        for x in (0, -1, 4):
+            with pytest.raises(ValidationError):
+                part.atom_of(x)
 
     def test_set_partition_rejects_bad_cover(self):
         with pytest.raises(ValidationError):

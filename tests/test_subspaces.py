@@ -6,7 +6,6 @@ import pytest
 from permll import (
     BasisKind,
     FamilyKind,
-    GeneratorFamily,
     basis_vector,
     bold_cross_section,
     dimension_report,
@@ -56,11 +55,11 @@ class TestFamilies:
             parse_family_kind("nope")
 
     def test_generator_counts(self):
-        assert len(generators(GeneratorFamily(FamilyKind.L, 5))) == 5
-        assert len(generators(GeneratorFamily(FamilyKind.BI, 5))) == 25
-        assert len(generators(GeneratorFamily(FamilyKind.BI_S, 5))) == 16
-        assert len(generators(GeneratorFamily(FamilyKind.SATURATED, 4))) == 1
-        assert len(generators(GeneratorFamily(FamilyKind.UNIFORM, 4))) == 1
+        assert len(generators(FamilyKind.L, 5)) == 5
+        assert len(generators(FamilyKind.BI, 5)) == 25
+        assert len(generators(FamilyKind.BI_S, 5)) == 16
+        assert len(generators(FamilyKind.SATURATED, 4)) == 1
+        assert len(generators(FamilyKind.UNIFORM, 4)) == 1
 
     def test_cross_sections_tile_the_board(self):
         for board in (bold_cross_section(2, 3, 5), thin_cross_section(2, 3, 5)):
@@ -73,8 +72,7 @@ class TestFamilies:
         for kind, mirror in mirrored:
             assert FAMILIES[kind].boards is FAMILIES[kind].dim is FAMILIES[mirror].mirror is None
             for n in range(1, 7):
-                own, theirs = GeneratorFamily(kind, n), GeneratorFamily(mirror, n)
-                assert generators(own) == [ProductPartition(b.cols, b.rows) for b in generators(theirs)]
+                assert generators(kind, n) == [ProductPartition(b.cols, b.rows) for b in generators(mirror, n)]
 
 
 class TestStats:
@@ -83,7 +81,7 @@ class TestStats:
             for k in range(1, n + 1):
                 for ell in range(1, n + 1):
                     a, q = _stats_aq_all(n, k, ell)
-                    want = [stats_aq(pi, k, ell) for pi in enumerate_permutations(n)]
+                    want = [brute_stats(pi, k, ell) for pi in enumerate_permutations(n)]
                     assert list(zip(a.tolist(), q.tolist())) == want, (n, k, ell)
 
     def test_stats_aq_examples(self):
@@ -97,6 +95,11 @@ class TestStats:
                 for k in range(1, n + 1):
                     for ell in range(1, n + 1):
                         assert stats_aq(pi, k, ell) == brute_stats(pi, k, ell)
+
+    def test_stats_aq_rejects_a_non_permutation(self):
+        for pi, k, ell in (((1, 1, 3), 1, 1), ((1, 2, 4), 2, 2), ((1, 2, 3), 4, 1), ((1, 2, 3), 1, 0)):
+            with pytest.raises(ValidationError):
+                stats_aq(pi, k, ell)
 
     def test_nontrivial_pairs_enumerate_realized_stats(self):
         # the listed (a, q) pairs are exactly those realized by some permutation
@@ -124,35 +127,32 @@ class TestDimensions:
             (FamilyKind.UNIFORM, 5): 0,
         }
         for (kind, n), value in expect.items():
-            assert formula_dimension(GeneratorFamily(kind, n)) == value
+            assert formula_dimension(kind, n) == value
 
     def test_primed_formulas_match_unprimed(self):
         for n in (3, 4, 5, 6):
             for primed, spec in FAMILIES.items():
                 if spec.mirror:
-                    assert formula_dimension(GeneratorFamily(spec.mirror, n)) == formula_dimension(
-                        GeneratorFamily(primed, n)
-                    )
+                    assert formula_dimension(spec.mirror, n) == formula_dimension(primed, n)
 
     def test_rank_equals_formula_small(self):
         # n = 1 included: there l_s, l_s' and bi_s have no generators
         for n in range(1, 6):
             for kind in FAMILIES:
-                family = GeneratorFamily(kind, n)
-                assert rank_dimension(family) == formula_dimension(family), (kind, n)
+                assert rank_dimension(kind, n) == formula_dimension(kind, n), (kind, n)
 
     def test_quasi_independence_needs_rank(self):
         # the closed form (n-1)^2 agrees with the rank oracle wherever it runs
         for n in range(2, RANK_MAX_N + 1):
-            family = GeneratorFamily(FamilyKind.QUASI_INDEPENDENCE, n)
-            assert formula_dimension(family) == rank_dimension(family) == (n - 1) ** 2
+            qi = FamilyKind.QUASI_INDEPENDENCE
+            assert formula_dimension(qi, n) == rank_dimension(qi, n) == (n - 1) ** 2
 
     def test_rank_cap(self):
         with pytest.raises(SizeError):
-            rank_dimension(GeneratorFamily(FamilyKind.L, RANK_MAX_N + 1))
+            rank_dimension(FamilyKind.L, RANK_MAX_N + 1)
 
     def test_report_json_shape(self):
-        doc = dimension_report(GeneratorFamily(FamilyKind.BI, 4)).to_json()
+        doc = dimension_report(FamilyKind.BI, 4).to_json()
         assert doc == {
             "family": "bi",
             "n": 4,
@@ -170,7 +170,7 @@ class TestBasisVectors:
                 for k in range(2, n + 1)
                 for ell in range(2, n + 1)
             )
-            assert total == formula_dimension(GeneratorFamily(FamilyKind.BI, n))
+            assert total == formula_dimension(FamilyKind.BI, n)
 
     def test_intersection_dim_example(self):
         assert subspace_intersection_dim(3, 3, 5) == 4
@@ -211,13 +211,13 @@ class TestBasisVectors:
                 basis_vector(BasisKind.NU, k, ell, a, None, n).coords
                 for k, ell, a in nu_basis_labels(n)
             ]
-            e_n = formula_dimension(GeneratorFamily(FamilyKind.BI_S, n))
+            e_n = formula_dimension(FamilyKind.BI_S, n)
             assert exact_rank(np.vstack(nus + [ones])) == e_n + 1
             rho5 = [
                 basis_vector(BasisKind.RHO, k, ell, a, 5, n).coords
                 for k, ell, a in rho5_basis_labels(n)
             ]
-            d_n = formula_dimension(GeneratorFamily(FamilyKind.BI, n))
+            d_n = formula_dimension(FamilyKind.BI, n)
             assert exact_rank(np.vstack(nus + rho5 + [ones])) == d_n + 1
 
 
